@@ -6,8 +6,8 @@ from .community import (CommunityResult, brute_force_search, exact_community,
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
                      NoQueryActivity, NotConverged, QueriesDisconnected,
                      QueryNotInSet, TooLarge, UnknownLabel)
-from .graph import (OrderedEdge, TemporalGraph, TransitionModel, dump_edge_stream,
-                    dumps_edge_stream, load_edge_stream, parse_edge_stream)
+from .graph import (TemporalGraph, dump_edge_stream, dumps_edge_stream,
+                    load_edge_stream, parse_edge_stream)
 from .local import (ApproxResult, PushState, degree_bounds, drain, expand,
                     local_search, local_search_multi, propagate, reduce_stage)
 from .metrics import (MetricReport, community_report, min_degree_metric,
@@ -19,9 +19,9 @@ from .synth import SynthConfig, synth_graph, synth_triples
 __all__ = [
     "ApproxResult", "CommunityResult", "CommunitySearchError", "EmptyGraph",
     "MalformedLine", "MetricReport", "NoCore", "NoQueryActivity", "NotConverged",
-    "OrderedEdge", "PushState", "QueriesDisconnected", "QueryContext",
+    "PushState", "QueriesDisconnected", "QueryContext",
     "QueryNotInSet", "ScoreVector", "SynthConfig", "TemporalGraph",
-    "TooLarge", "TransitionModel", "UnknownLabel", "brute_force_search",
+    "TooLarge", "UnknownLabel", "brute_force_search",
     "community_report", "degree_bounds", "drain", "dump_edge_stream", "dumps_edge_stream",
     "exact_community", "exact_community_multi", "expand", "kcore_baseline",
     "load_edge_stream", "local_search", "local_search_multi", "min_degree_metric",

@@ -15,12 +15,12 @@ import random
 import sys
 import time
 
-from .community import (brute_force_search, exact_community_multi, kcore_baseline)
+from .community import brute_force_search, exact_community, kcore_baseline
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
 from .graph import TemporalGraph, load_edge_stream
-from .local import local_search_multi
+from .local import local_search
 from .metrics import community_report
-from .pagerank import QueryContext, temporal_pagerank_multi
+from .pagerank import QueryContext, temporal_pagerank
 from .synth import SynthConfig, format_edge_stream, synth_triples
 
 ALGORITHMS = ("egr", "als", "baseline", "brute")
@@ -98,7 +98,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     }
     try:
         if args.alg == "egr":
-            result = exact_community_multi(graph, ctx)
+            result = exact_community(graph, ctx)
             scores = result.scores
             timings = result.timings
             response["beta"] = result.beta
@@ -118,8 +118,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             response["k"] = args.k
             members = result.members
         else:
-            result = local_search_multi(graph, ctx)
-            scores = temporal_pagerank_multi(graph, ctx)
+            result = local_search(graph, ctx)
+            # md reports the true minimum degree, so als also pays a full score pass
+            scores = temporal_pagerank(graph, ctx)
             timings = result.timings
             members = result.members
             response["beta"] = result.beta_lower
@@ -227,13 +228,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         exact = approx = None
         if "egr" in algs:
             t0 = time.perf_counter()
-            exact = exact_community_multi(graph, ctx)
+            exact = exact_community(graph, ctx)
             row["egr_s"] = f"{time.perf_counter() - t0:.6f}"
             row["egr_beta"] = repr(exact.beta)
             row["egr_size"] = len(exact.members)
         if "als" in algs:
             t0 = time.perf_counter()
-            approx = local_search_multi(graph, ctx)
+            approx = local_search(graph, ctx)
             row["als_s"] = f"{time.perf_counter() - t0:.6f}"
             row["als_beta_lower"] = repr(approx.beta_lower)
             row["als_epsilon"] = repr(approx.epsilon)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import NoCore, QueriesDisconnected, TooLarge
 from .graph import TemporalGraph
-from .pagerank import (QueryContext, ScoreVector, temporal_pagerank,
-                       temporal_pagerank_multi)
+from .pagerank import QueryContext, ScoreVector, temporal_pagerank
 
 
 @dataclass
@@ -50,17 +49,43 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
     return min(proximity_degree(scores, graph, space, u) for u in sorted(space))
 
 
-def _co_connected_alive(graph: TemporalGraph, alive: list[bool],
-                        queries: Sequence[int]) -> bool:
-    seen = {queries[0]}
-    frontier = [queries[0]]
-    while frontier:
-        u = frontier.pop()
+def _last_connected_round(graph: TemporalGraph, removal_log: Sequence[int],
+                          queries: Sequence[int]) -> int:
+    """Largest k such that one component of V - removal_log[:k] holds every query.
+
+    Replays the removals backwards into a union-find: the vertices never
+    removed go in first, then removal_log[k] for k from the end down, each
+    joined to its neighbours already present.  Removals only ever split
+    components, so the first k at which the queries share a root is the
+    answer.  The queries must share a component of the whole graph.
+    """
+    k = len(removal_log)
+    if len(queries) == 1:
+        return k  # one query always shares its own component; skip the O(m) replay
+    parent = list(range(graph.n))
+    present = [True] * graph.n
+    for u in removal_log:
+        present[u] = False
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def add(u: int) -> None:
+        present[u] = True
         for v in graph.adj[u]:
-            if alive[v] and v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return all(q in seen for q in queries)
+            if present[v]:
+                parent[find(u)] = find(v)
+
+    for u in range(graph.n):
+        if present[u]:
+            add(u)
+    while len({find(q) for q in queries}) > 1:
+        k -= 1
+        add(removal_log[k])
+    return k
 
 
 def _peel(graph: TemporalGraph, values: np.ndarray,
@@ -71,34 +96,28 @@ def _peel(graph: TemporalGraph, values: np.ndarray,
     no per-round copies are made.  Ties extract the smallest vertex id with
     query vertices deferred last; extracting a query ends the loop (its degree
     still competes for the best snapshot, otherwise the reported optimum would
-    go stale when the query itself is the unique minimum).  The best round
-    uses strict improvement, which keeps the earliest and therefore largest
-    optimal snapshot.
+    go stale when the query itself is the unique minimum).  Only rounds at
+    which the queries still share a component compete.  The best round uses
+    strict improvement, which keeps the earliest and therefore largest optimal
+    snapshot.
     """
     n = graph.n
     qset = set(queries)
-    multi = len(queries) > 1
     rho = [proximity_degree(values, graph, range(n), u) for u in range(n)]
     # full-space degrees: every vertex is present initially
     alive = [True] * n
     heap = [(rho[u], u in qset, u) for u in range(n)]
     heapq.heapify(heap)
     removal_log: list[int] = []
-    best_beta = 0.0
-    best_round = 0
+    # degree of each round's extracted vertex, taken exactly rounded rather
+    # than from the drift-prone decremented heap value, so real ties stay ties
+    round_degrees: list[float] = []
 
     while heap:
         val, _, u = heapq.heappop(heap)
         if not alive[u] or val != rho[u]:
             continue
-        if multi and not _co_connected_alive(graph, alive, queries):
-            break
-        # snapshot comparisons use the exactly-rounded degree, not the
-        # drift-prone decremented heap value, so real ties stay ties
-        fresh = math.fsum(values[v] for v in graph.adj[u] if alive[v])
-        if fresh > best_beta:
-            best_beta = fresh
-            best_round = len(removal_log)
+        round_degrees.append(math.fsum(values[v] for v in graph.adj[u] if alive[v]))
         if u in qset:
             break
         alive[u] = False
@@ -109,6 +128,13 @@ def _peel(graph: TemporalGraph, values: np.ndarray,
                 rho[v] -= score_u
                 heapq.heappush(heap, (rho[v], v in qset, v))
 
+    best_beta = 0.0
+    best_round = 0
+    last = _last_connected_round(graph, removal_log, queries)
+    for i, degree in enumerate(round_degrees[:last + 1]):
+        if degree > best_beta:
+            best_beta = degree
+            best_round = i
     survivors = set(range(n)) - set(removal_log[:best_round])
     component = graph.connected_component(survivors, queries[0])
     beta = min_proximity_degree(values, graph, component)
@@ -116,9 +142,12 @@ def _peel(graph: TemporalGraph, values: np.ndarray,
 
 
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
-    """Exact search for a single query vertex: score, peel, return the optimum."""
-    if len(ctx.queries) != 1:
-        raise ValueError("exact_community takes exactly one query vertex")
+    """Exact search for a query set: score, peel, return the optimum.
+
+    Peeling stops once the query set would split or shrink.
+    """
+    if len(ctx.queries) > 1 and not graph.co_connected(range(graph.n), ctx.queries):
+        raise QueriesDisconnected("query vertices lie in different components")
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
@@ -128,17 +157,8 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
 
 
-def exact_community_multi(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
-    """Exact search for a query set; peeling stops once the set would split or shrink."""
-    if len(ctx.queries) > 1 and not graph.co_connected(range(graph.n), ctx.queries):
-        raise QueriesDisconnected("query vertices lie in different components")
-    t0 = time.perf_counter()
-    scores = temporal_pagerank_multi(graph, ctx)
-    t1 = time.perf_counter()
-    component, beta = _peel(graph, scores.values, ctx.queries)
-    t2 = time.perf_counter()
-    return CommunityResult(frozenset(component), beta, "egr",
-                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
+# the same function under the name perfbench/run.py calls
+exact_community_multi = exact_community
 
 
 def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
@@ -149,7 +169,7 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
     """
     if graph.n > 12:
         raise TooLarge(f"brute force limited to 12 vertices, got {graph.n}")
-    scores = temporal_pagerank_multi(graph, ctx)
+    scores = temporal_pagerank(graph, ctx)
     values = scores.values
     n = graph.n
     qmask = 0

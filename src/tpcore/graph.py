@@ -1,34 +1,24 @@
-"""Temporal graph model: edge stream, ordered temporal edges, transition model.
+"""Temporal graph model: edge stream, per-vertex incidence, transition denominators.
 
 A temporal graph is an undirected multigraph whose edges carry integer
 timestamps; (u, v, t1) and (u, v, t2) are distinct edges when t1 != t2.
 Edges are stored as a stream sorted non-decreasing by timestamp.  The random
 walk underlying the proximity scores moves over *ordered* temporal edges: the
-two directed copies of each stored edge.  From state e the walk may continue
-along any edge leaving tail(e) at a strictly later time; a state with no such
-continuation is dangling and is modelled with a probability-1 self-loop.
+two directed copies of each stored edge, where state 2e runs from edge_u[e]
+to edge_v[e] and state 2e+1 runs back.  From a state the walk may continue
+along any edge leaving its tail at a strictly later time; a state with no
+such continuation is dangling and is modelled with a probability-1 self-loop.
 """
 from __future__ import annotations
 
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import EmptyGraph, MalformedLine, QueryNotInSet
-
-
-class OrderedEdge(NamedTuple):
-    """Directed copy of a temporal edge; ``forward`` means head is the stored u."""
-
-    edge: int
-    forward: bool
-
-    @property
-    def state_id(self) -> int:
-        return 2 * self.edge + (0 if self.forward else 1)
 
 
 @dataclass
@@ -42,8 +32,9 @@ class LoadReport:
 class TemporalGraph:
     """Immutable temporal graph with per-vertex time-sorted incidence.
 
-    Construction is single-threaded; after __init__ the instance is never
-    mutated and is safe to share across concurrent queries.
+    Construction is single-threaded; after __init__ the only change is the
+    memo of transition denominators, whose entries never change once written,
+    so the instance is safe to share across concurrent queries.
     """
 
     def __init__(self, labels: Sequence[str], edges: Sequence[tuple[int, int, int]],
@@ -70,7 +61,6 @@ class TemporalGraph:
         # keep python lists of times for bisect plus parallel arrays
         self.inc_times: list[list[int]] = [[t for t, _, _ in lst] for lst in inc]
         self.inc_edges: list[list[int]] = [[e for _, e, _ in lst] for lst in inc]
-        self.inc_other: list[list[int]] = [[w for _, _, w in lst] for lst in inc]
         self.adj: list[list[int]] = [sorted(s) for s in adj]
         self.degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=self.n)
         self.m_static = int(self.degree.sum()) // 2
@@ -78,7 +68,7 @@ class TemporalGraph:
         self.occurrence = np.fromiter((len(set(ts)) for ts in self.inc_times),
                                       dtype=np.int64, count=self.n)
         self.t_max_occurrence = int(self.occurrence.max()) if self.n else 0
-        self._transitions: TransitionModel | None = None
+        self._denom: dict[tuple[int, int], float] = {}
 
     # ---- construction ----------------------------------------------------
 
@@ -118,50 +108,26 @@ class TemporalGraph:
         edges = [(vid(u), vid(v), t) for u, v, t in cleaned]
         return cls(labels, edges, report)
 
-    # ---- ordered temporal edges -------------------------------------------
-
-    def head(self, e: OrderedEdge) -> int:
-        return int(self.edge_u[e.edge] if e.forward else self.edge_v[e.edge])
-
-    def tail(self, e: OrderedEdge) -> int:
-        return int(self.edge_v[e.edge] if e.forward else self.edge_u[e.edge])
-
-    def time(self, e: OrderedEdge) -> int:
-        return int(self.edge_t[e.edge])
-
-    def out_edges(self, u: int) -> list[OrderedEdge]:
-        """Ordered temporal edges with head u, in time order."""
-        return [OrderedEdge(e, int(self.edge_u[e]) == u) for e in self.inc_edges[u]]
-
-    def in_edges(self, u: int) -> list[OrderedEdge]:
-        """Ordered temporal edges with tail u, in time order."""
-        return [OrderedEdge(e, int(self.edge_v[e]) == u) for e in self.inc_edges[u]]
-
-    def ordered_edges(self) -> list[OrderedEdge]:
-        return [OrderedEdge(e, fwd) for e in range(self.m) for fwd in (True, False)]
-
-    def dangling(self, e: OrderedEdge) -> bool:
-        """True iff tail(e) has no incident edge strictly later than time(e)."""
-        return self.vertex_dangling(self.tail(e), self.time(e))
+    # ---- transitions -----------------------------------------------------
 
     def vertex_dangling(self, u: int, t: int) -> bool:
+        """True iff u has no incident edge strictly later than t."""
         return t >= self.max_time[u]
 
-    def successors(self, e: OrderedEdge) -> list[OrderedEdge]:
-        """Ordered edges leaving tail(e) at a strictly later time (empty iff dangling)."""
-        u = self.tail(e)
-        t = self.time(e)
-        lo = bisect_right(self.inc_times[u], t)
-        return [OrderedEdge(j, int(self.edge_u[j]) == u) for j in self.inc_edges[u][lo:]]
+    def denominator(self, u: int, t0: int) -> float:
+        """Normalizer of the walk leaving u after time t0, memoized lazily.
 
-    def transition_prob(self, ei: OrderedEdge, ej: OrderedEdge) -> float:
-        return self.transitions.prob(ei, ej)
-
-    @property
-    def transitions(self) -> "TransitionModel":
-        if self._transitions is None:
-            self._transitions = TransitionModel(self)
-        return self._transitions
+        A continuation at time t > t0 has weight decay(t - t0) = 1/(t - t0);
+        the denominator sums that weight over u's incident edges.
+        """
+        key = (u, t0)
+        val = self._denom.get(key)
+        if val is None:
+            times = self.inc_times[u]
+            lo = bisect_right(times, t0)
+            val = float(np.reciprocal(np.asarray(times[lo:], dtype=np.float64) - t0).sum())
+            self._denom[key] = val
+        return val
 
     # ---- de-temporal operations --------------------------------------------
 
@@ -212,42 +178,6 @@ class TemporalGraph:
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.n}, m={self.m}, m_static={self.m_static}, "
                 f"t_max_occurrence={self.t_max_occurrence})")
-
-
-class TransitionModel:
-    """Temporal transition probabilities with lazily memoized denominators.
-
-    The walk leaving a state with tail u at time t0 picks a strictly later
-    incident edge of u with weight decay(dt) = 1/dt; the normalizer
-    denom(u, t0) depends on t0, so entries are cached per (vertex, timestamp).
-    Dangling states self-loop with probability 1.
-    """
-
-    def __init__(self, graph: TemporalGraph):
-        self.graph = graph
-        self._denom: dict[tuple[int, int], float] = {}
-
-    @staticmethod
-    def decay(dt: int) -> float:
-        return 1.0 / dt
-
-    def denominator(self, u: int, t0: int) -> float:
-        key = (u, t0)
-        val = self._denom.get(key)
-        if val is None:
-            times = self.graph.inc_times[u]
-            lo = bisect_right(times, t0)
-            val = float(np.reciprocal(np.asarray(times[lo:], dtype=np.float64) - t0).sum())
-            self._denom[key] = val
-        return val
-
-    def prob(self, ei: OrderedEdge, ej: OrderedEdge) -> float:
-        g = self.graph
-        if g.dangling(ei):
-            return 1.0 if ei == ej else 0.0
-        if g.head(ej) != g.tail(ei) or g.time(ej) <= g.time(ei):
-            return 0.0
-        return self.decay(g.time(ej) - g.time(ei)) / self.denominator(g.tail(ei), g.time(ei))
 
 
 # ---- edge-stream text format ---------------------------------------------

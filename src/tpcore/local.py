@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoQueryActivity, QueriesDisconnected, QueryNotInSet
-from .graph import OrderedEdge, TemporalGraph
-from .pagerank import QueryContext
+from .errors import QueriesDisconnected, QueryNotInSet
+from .graph import TemporalGraph
+from .pagerank import QueryContext, _require_activity
 
 # drift allowance for the expansion pruning comparisons: bound sums and the
 # degree estimate are accumulated incrementally, so two quantities that are
@@ -54,10 +54,10 @@ def _out_state_ids(graph: TemporalGraph, u: int) -> list[int]:
     return [2 * e + (0 if int(graph.edge_u[e]) == u else 1) for e in graph.inc_edges[u]]
 
 
-def _propagate_id(state: PushState, sid: int, graph: TemporalGraph,
-                  on_lower: Callable[[int, float], None] | None = None,
-                  force: bool = False) -> None:
-    """Push one state if its residue clears the 1/m gate.
+def propagate(state: PushState, sid: int, graph: TemporalGraph,
+              on_lower: Callable[[int, float], None] | None = None,
+              force: bool = False) -> None:
+    """Push state ``sid`` if its residue clears the 1/m gate; otherwise a no-op.
 
     Non-dangling: keep alpha*r as reserve, spread (1-alpha)*r over successors.
     Dangling: absorb the full residue into the reserve; the self-loop stops
@@ -82,7 +82,7 @@ def _propagate_id(state: PushState, sid: int, graph: TemporalGraph,
         if on_lower is not None:
             on_lower(tail, r)
         return
-    denom = graph.transitions.denominator(tail, t)
+    denom = graph.denominator(tail, t)
     spread = (1.0 - state.alpha) * r
     distributed = 0.0
     times = graph.inc_times[tail]
@@ -106,11 +106,6 @@ def _propagate_id(state: PushState, sid: int, graph: TemporalGraph,
         on_lower(tail, settled)
 
 
-def propagate(state: PushState, e: OrderedEdge, graph: TemporalGraph) -> None:
-    """Public single-state push; no-op when the residue sits below the 1/m gate."""
-    _propagate_id(state, e.state_id, graph)
-
-
 def drain(state: PushState, graph: TemporalGraph) -> None:
     """Settle all pending mass; afterwards the lower bounds are the exact scores.
 
@@ -120,7 +115,7 @@ def drain(state: PushState, graph: TemporalGraph) -> None:
     order = sorted(range(2 * graph.m), key=lambda sid: int(graph.edge_t[sid // 2]))
     for sid in order:
         if state.residue[sid] != 0.0:
-            _propagate_id(state, sid, graph, force=True)
+            propagate(state, sid, graph, force=True)
     state.residue_total = 0.0
 
 
@@ -139,25 +134,24 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
            ) -> tuple[list[int], PushState]:
     """Grow a candidate set around the queries that provably covers the exact community.
 
-    Seeds the queries' outgoing states with uniform residue and breadth-first
-    pops vertices, pushing their out-states.  A neighbor enters the frontier
-    only if its degree upper bound can still reach the best minimum-degree
-    estimate seen so far; when the whole frontier falls below that estimate it
-    is merged in and expansion stops.  ``inspect`` (tests) is called after
+    Seeds each query q's outgoing states with residue 1/(|S| deg q), the start
+    distribution of ``temporal_pagerank``, and breadth-first pops vertices,
+    pushing their out-states.  A neighbor enters the frontier only if its
+    degree upper bound can still reach the best minimum-degree estimate seen
+    so far; when the whole frontier falls below that estimate it is merged in
+    and expansion stops.  ``inspect`` (tests) is called after
     every pop with the push state, expanded list, visited set, and estimate.
     """
     queries = ctx.queries
-    for q in queries:
-        if not graph.inc_times[q]:
-            raise NoQueryActivity(graph.labels[q])
+    _require_activity(graph, queries)
     if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
         raise QueriesDisconnected("query vertices lie in different components")
 
     state = PushState.fresh(graph, ctx.alpha)
-    seed_states = [sid for q in queries for sid in _out_state_ids(graph, q)]
-    seed = 1.0 / len(seed_states)
-    for sid in seed_states:
-        state.residue[sid] = seed
+    for q in queries:
+        seed = 1.0 / (len(queries) * len(graph.inc_edges[q]))
+        for sid in _out_state_ids(graph, q):
+            state.residue[sid] = seed
     state.residue_total = 1.0
 
     lower = state.lower
@@ -205,7 +199,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         heapq.heappush(rho_heap, (val, u))
         is_query = u in query_set
         for sid in _out_state_ids(graph, u):
-            _propagate_id(state, sid, graph, on_lower, force=is_query)
+            propagate(state, sid, graph, on_lower, force=is_query)
         while rho_heap[0][0] != rho_hat[rho_heap[0][1]]:
             heapq.heappop(rho_heap)
         current_min = rho_heap[0][0]
@@ -390,8 +384,6 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:
     """Expand then reduce; the exact optimum is at most epsilon * beta_lower."""
-    if len(ctx.queries) != 1:
-        raise ValueError("local_search takes exactly one query vertex")
     t0 = time.perf_counter()
     expanded, state = expand(graph, ctx)
     t1 = time.perf_counter()
@@ -401,12 +393,5 @@ def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:
     return result
 
 
-def local_search_multi(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:
-    """Multi-query variant; seeds the push over the union of query out-states."""
-    t0 = time.perf_counter()
-    expanded, state = expand(graph, ctx)
-    t1 = time.perf_counter()
-    result = reduce_stage(expanded, state, graph, ctx)
-    t2 = time.perf_counter()
-    result.timings = {"score_s": t1 - t0, "search_s": t2 - t1}
-    return result
+# the same function under the name perfbench/run.py calls
+local_search_multi = local_search

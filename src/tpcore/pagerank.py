@@ -60,31 +60,33 @@ class ScoreVector:
         return float(self.values.sum())
 
 
-def _require_activity(graph: TemporalGraph, q: int) -> None:
-    if not graph.inc_times[q]:
-        raise NoQueryActivity(graph.labels[q])
+def _require_activity(graph: TemporalGraph, queries: tuple[int, ...]) -> None:
+    for q in queries:
+        if not graph.inc_times[q]:
+            raise NoQueryActivity(graph.labels[q])
 
 
 def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
-    """Exact proximity scores for a single query vertex, one pass over the stream.
+    """Exact proximity scores for a query set, one pass over the stream.
 
-    Maintains stop[u][t], the probability that the discounted walk stops at u
-    having arrived on an edge with timestamp t.  Each stream edge (u, v, t)
-    forwards mass from both endpoint dictionaries; entries written at time t
-    contribute nothing to the same edge because continuations need a strictly
-    later time, so no freshness guard is required.  Dangling entries are
-    divided by alpha at the end: a walk reaching a dead-end state stops there
-    with probability 1 in the limit.
+    The walk starts with mass 1/(|S| deg q) on each outgoing state of every
+    query q, so by linearity the result is the mean of the per-query score
+    vectors.  Maintains stop[u][t], the probability that the discounted walk
+    stops at u having arrived on an edge with timestamp t.  Each stream edge
+    (u, v, t) forwards mass from both endpoint dictionaries; entries written
+    at time t contribute nothing to the same edge because continuations need
+    a strictly later time, so no freshness guard is required.  Dangling
+    entries are divided by alpha at the end: a walk reaching a dead-end state
+    stops there with probability 1 in the limit.
     """
-    if len(ctx.queries) != 1:
-        raise ValueError("temporal_pagerank takes exactly one query vertex")
-    q = ctx.queries[0]
-    _require_activity(graph, q)
+    queries = ctx.queries
+    _require_activity(graph, queries)
     alpha = ctx.alpha
     keep = 1.0 - alpha
-    trans = graph.transitions
-    denom = trans.denominator
-    seed = alpha / len(graph.inc_times[q])
+    denom = graph.denominator
+    seed = [0.0] * graph.n
+    for q in queries:
+        seed[q] = alpha / (len(queries) * len(graph.inc_times[q]))
     stop: list[dict[int, float]] = [{} for _ in range(graph.n)]
 
     for u, v, t in graph.edge_list:
@@ -97,8 +99,8 @@ def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
                     acc += mass / ((t - t1) * denom(u, t1))
             if acc:
                 dv[t] = dv.get(t, 0.0) + keep * acc
-        if u == q:
-            dv[t] = dv.get(t, 0.0) + seed
+        if seed[u]:
+            dv[t] = dv.get(t, 0.0) + seed[u]
         if dv:
             acc = 0.0
             for t2, mass in dv.items():
@@ -106,8 +108,8 @@ def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
                     acc += mass / ((t - t2) * denom(v, t2))
             if acc:
                 du[t] = du.get(t, 0.0) + keep * acc
-        if v == q:
-            du[t] = du.get(t, 0.0) + seed
+        if seed[v]:
+            du[t] = du.get(t, 0.0) + seed[v]
 
     values = np.zeros(graph.n)
     for u, d in enumerate(stop):
@@ -120,14 +122,8 @@ def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
     return ScoreVector(values, ctx)
 
 
-def temporal_pagerank_multi(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
-    """Mean of the per-query score vectors; identical to the single pass for one query."""
-    for q in ctx.queries:
-        _require_activity(graph, q)
-    acc = np.zeros(graph.n)
-    for q in ctx.queries:
-        acc += temporal_pagerank(graph, QueryContext((q,), ctx.alpha)).values
-    return ScoreVector(acc / len(ctx.queries), ctx)
+# the same function under the name perfbench/run.py calls
+temporal_pagerank_multi = temporal_pagerank
 
 
 def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
@@ -139,11 +135,9 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     sums per vertex over incoming states.  Memory is quadratic in m; use at
     test scale only.
     """
-    for q in ctx.queries:
-        _require_activity(graph, q)
+    _require_activity(graph, ctx.queries)
     n_states = 2 * graph.m
-    decay = graph.transitions.decay
-    denominator = graph.transitions.denominator
+    denominator = graph.denominator
     P = np.zeros((n_states, n_states))
     for e, fwd in ((e, f) for e in range(graph.m) for f in (True, False)):
         sid = 2 * e + (0 if fwd else 1)
@@ -157,7 +151,7 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
         dnm = denominator(tail, t)
         for j, tj in succ:
             jid = 2 * j + (0 if int(graph.edge_u[j]) == tail else 1)
-            P[sid, jid] += decay(tj - t) / dnm
+            P[sid, jid] += (1.0 / (tj - t)) / dnm
 
     chi = np.zeros(n_states)
     share = 1.0 / len(ctx.queries)

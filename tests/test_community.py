@@ -106,7 +106,7 @@ def test_multi_singleton_identical(tri):
 
 def test_multi_tri(tri):
     ctx = QueryContext((tri.index["q"], tri.index["a"]))
-    res = exact_community_multi(tri, ctx)
+    res = exact_community(tri, ctx)
     assert labels(tri, res.members) == ["a", "b", "q"]
     assert res.beta == pytest.approx(0.5, abs=1e-9)
 
@@ -115,24 +115,31 @@ def test_multi_disconnected_queries():
     g = TemporalGraph.from_triples([("q", "a", 1), ("x", "y", 2)])
     ctx = QueryContext((g.index["q"], g.index["x"]))
     with pytest.raises(QueriesDisconnected):
-        exact_community_multi(g, ctx)
+        exact_community(g, ctx)
 
 
 def test_multi_matches_brute_force():
+    """Pairs and, where the component allows, triples of queries; triples
+    often split apart before any query is extracted by the peel."""
     rng = random.Random(5150)
+    triples = random.Random(5151)
     checked = 0
-    while checked < 15:
+    while checked < 40:
         g = random_temporal_graph(rng, n_max=8, m_max=20, t_max=10)
         q = rng.randrange(g.n)
         comp = sorted(g.connected_component(range(g.n), q))
         others = [v for v in comp if v != q]
         if not others:
             continue
-        ctx = QueryContext((q, rng.choice(others)))
-        greedy = exact_community_multi(g, ctx)
-        oracle = brute_force_search(g, ctx)
-        assert greedy.members == oracle.members
-        assert greedy.beta == pytest.approx(oracle.beta, abs=1e-12)
+        sets = [(q, rng.choice(others))]
+        if len(others) >= 2:
+            sets.append((q, *triples.sample(others, 2)))
+        for queries in sets:
+            ctx = QueryContext(queries)
+            greedy = exact_community(g, ctx)
+            oracle = brute_force_search(g, ctx)
+            assert greedy.members == oracle.members
+            assert greedy.beta == pytest.approx(oracle.beta, abs=1e-12)
         checked += 1
 
 

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given
 
-from tpcore import (EmptyGraph, MalformedLine, OrderedEdge, QueryNotInSet,
-                    TemporalGraph, dumps_edge_stream, parse_edge_stream)
+from tpcore import (EmptyGraph, MalformedLine, QueryNotInSet, TemporalGraph,
+                    dumps_edge_stream, parse_edge_stream)
+from tests import oracle
 from tests.conftest import graph_strategy, random_temporal_graph
+from tests.oracle import OrderedEdge
 
 
 def edge(graph, u_lab, v_lab, t):
@@ -97,57 +99,57 @@ def test_incidence_and_adjacency_invariants(g):
 
 def test_successors_tri(tri):
     qa = edge(tri, "q", "a", 1)
-    assert tri.successors(qa) == [edge(tri, "a", "b", 2)]
+    assert oracle.successors(tri, qa) == [edge(tri, "a", "b", 2)]
     ab = edge(tri, "a", "b", 2)
-    assert tri.successors(ab) == []
-    assert tri.dangling(ab)
+    assert oracle.successors(tri, ab) == []
+    assert oracle.dangling(tri, ab)
     qb = edge(tri, "q", "b", 1)
     # the equal-time state <b, q, 1> is excluded: strictly later times only
-    assert tri.successors(qb) == [edge(tri, "b", "a", 2)]
+    assert oracle.successors(tri, qb) == [edge(tri, "b", "a", 2)]
 
 
 def test_successors_empty_iff_dangling(tri, chain3):
     for g in (tri, chain3):
-        for e in g.ordered_edges():
-            assert (g.successors(e) == []) == g.dangling(e)
+        for e in oracle.ordered_edges(g):
+            assert (oracle.successors(g, e) == []) == oracle.dangling(g, e)
 
 
 def test_transition_prob_tri(tri):
     qa = edge(tri, "q", "a", 1)
     ab = edge(tri, "a", "b", 2)
-    assert tri.transition_prob(qa, ab) == 1.0
-    assert tri.transition_prob(ab, ab) == 1.0  # dangling self-loop
-    assert tri.transition_prob(ab, qa) == 0.0
-    assert tri.transition_prob(qa, edge(tri, "q", "b", 1)) == 0.0
+    assert oracle.transition_prob(tri, qa, ab) == 1.0
+    assert oracle.transition_prob(tri, ab, ab) == 1.0  # dangling self-loop
+    assert oracle.transition_prob(tri, ab, qa) == 0.0
+    assert oracle.transition_prob(tri, qa, edge(tri, "q", "b", 1)) == 0.0
 
 
 def test_transition_prob_linear_decay_gaps():
     # successors at gaps 1 and 3: (1/1)/(1/1+1/3) and (1/3)/(1/1+1/3)
     g = TemporalGraph.from_triples([("x", "u", 1), ("u", "a", 2), ("u", "b", 4)])
     xu = edge(g, "x", "u", 1)
-    assert g.transition_prob(xu, edge(g, "u", "a", 2)) == pytest.approx(0.75, abs=1e-15)
-    assert g.transition_prob(xu, edge(g, "u", "b", 4)) == pytest.approx(0.25, abs=1e-15)
+    assert oracle.transition_prob(g, xu, edge(g, "u", "a", 2)) == pytest.approx(0.75, abs=1e-15)
+    assert oracle.transition_prob(g, xu, edge(g, "u", "b", 4)) == pytest.approx(0.25, abs=1e-15)
 
 
 @given(graph_strategy())
 def test_two_opposing_states_per_edge(g):
-    states = g.ordered_edges()
+    states = oracle.ordered_edges(g)
     assert len(states) == 2 * g.m
     for e in range(g.m):
         fwd, rev = states[2 * e], states[2 * e + 1]
-        assert g.head(fwd) == g.tail(rev)
-        assert g.tail(fwd) == g.head(rev)
-        assert g.time(fwd) == g.time(rev)
+        assert oracle.head(g, fwd) == oracle.tail(g, rev)
+        assert oracle.tail(g, fwd) == oracle.head(g, rev)
+        assert oracle.time(g, fwd) == oracle.time(g, rev)
 
 
 @given(graph_strategy())
 def test_row_stochasticity(g):
-    states = g.ordered_edges()
+    states = oracle.ordered_edges(g)
     for e in states:
-        if g.dangling(e):
-            assert g.transition_prob(e, e) == 1.0
+        if oracle.dangling(g, e):
+            assert oracle.transition_prob(g, e, e) == 1.0
             continue
-        total = sum(g.transition_prob(e, s) for s in g.successors(e))
+        total = sum(oracle.transition_prob(g, e, s) for s in oracle.successors(g, e))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -160,9 +162,9 @@ def test_denominator_memo_matches_direct():
             u = rng.randrange(g.n)
             t0 = rng.randint(0, 16)
             direct = sum(1.0 / (t - t0) for t in g.inc_times[u] if t > t0)
-            assert g.transitions.denominator(u, t0) == pytest.approx(direct, abs=1e-12)
+            assert g.denominator(u, t0) == pytest.approx(direct, abs=1e-12)
             # second lookup serves the memoized entry
-            assert g.transitions.denominator(u, t0) == g.transitions.denominator(u, t0)
+            assert g.denominator(u, t0) == g.denominator(u, t0)
             probes += 1
 
 

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from tpcore import (PushState, QueriesDisconnected, QueryContext, TemporalGraph,
                     degree_bounds, drain, exact_community, expand, local_search,
-                    local_search_multi, power_iteration_pagerank, propagate,
-                    proximity_degree, reduce_stage, temporal_pagerank)
+                    local_search_multi, min_proximity_degree,
+                    power_iteration_pagerank, propagate, proximity_degree,
+                    reduce_stage, temporal_pagerank)
 from tests.conftest import ctx_for, random_temporal_graph
 from tests.test_graph import edge
 
@@ -22,13 +24,13 @@ def test_propagate_chain3_trace(chain3):
     ab = edge(chain3, "a", "b", 2)
     state.residue[qa.state_id] = 1.0
     state.residue_total = 1.0
-    propagate(state, qa, chain3)
+    propagate(state, qa.state_id, chain3)
     a, b = chain3.index["a"], chain3.index["b"]
     assert state.reserve[qa.state_id] == pytest.approx(0.2, abs=1e-15)
     assert state.lower[a] == pytest.approx(0.2, abs=1e-15)
     assert state.residue[ab.state_id] == pytest.approx(0.8, abs=1e-15)
     # dangling absorption: the whole residue settles
-    propagate(state, ab, chain3)
+    propagate(state, ab.state_id, chain3)
     assert state.lower[b] == pytest.approx(0.8, abs=1e-15)
     assert state.residue_total == pytest.approx(0.0, abs=1e-15)
 
@@ -39,7 +41,7 @@ def test_propagate_below_gate_is_noop(chain3):
     r = 1.0 / (2 * chain3.m)
     state.residue[qa.state_id] = r
     state.residue_total = r
-    propagate(state, qa, chain3)
+    propagate(state, qa.state_id, chain3)
     assert state.residue[qa.state_id] == r
     assert state.reserve.sum() == 0.0
 
@@ -50,7 +52,7 @@ def test_propagate_fires_at_exact_gate(chain3):
     r = 1.0 / chain3.m
     state.residue[qa.state_id] = r
     state.residue_total = r
-    propagate(state, qa, chain3)
+    propagate(state, qa.state_id, chain3)
     assert state.residue[qa.state_id] == 0.0
     assert state.reserve[qa.state_id] == pytest.approx(0.2 * r, abs=1e-15)
 
@@ -132,7 +134,7 @@ def test_bounds_after_first_push(chain3):
     qa = edge(chain3, "q", "a", 1)
     state.residue[qa.state_id] = 1.0
     state.residue_total = 1.0
-    propagate(state, qa, chain3)
+    propagate(state, qa.state_id, chain3)
     lo, hi = degree_bounds(state, chain3, range(chain3.n), chain3.index["a"])
     assert lo == pytest.approx(0.0, abs=1e-15)
     assert hi == pytest.approx(0.8, abs=1e-15)
@@ -273,14 +275,14 @@ def test_multi_singleton_identical(tri):
 
 def test_multi_tri(tri):
     ctx = QueryContext((tri.index["q"], tri.index["a"]))
-    res = local_search_multi(tri, ctx)
+    res = local_search(tri, ctx)
     assert labels(tri, res.members) == ["a", "b", "q"]
 
 
 def test_multi_disconnected():
     g = TemporalGraph.from_triples([("q", "a", 1), ("x", "y", 2)])
     with pytest.raises(QueriesDisconnected):
-        local_search_multi(g, QueryContext((g.index["q"], g.index["x"])))
+        local_search(g, QueryContext((g.index["q"], g.index["x"])))
 
 
 def test_multi_guarantee():
@@ -294,9 +296,40 @@ def test_multi_guarantee():
         if not others:
             continue
         ctx = QueryContext((q, rng.choice(others)))
-        approx = local_search_multi(g, ctx)
-        from tpcore import exact_community_multi
-        exact = exact_community_multi(g, ctx)
+        approx = local_search(g, ctx)
+        exact = exact_community(g, ctx)
         assert set(ctx.queries) <= approx.members
         assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
         checked += 1
+
+
+def test_drained_push_matches_query_set_scores():
+    """A query set seeds each query's out-states with 1/(|S| deg q), so the
+    drained push equals the one-pass scores even when the degrees differ."""
+    rng = random.Random(31)
+    checked = 0
+    while checked < 40:
+        g = random_temporal_graph(rng, n_max=20, m_max=60, t_max=15)
+        q = rng.randrange(g.n)
+        comp = sorted(g.connected_component(range(g.n), q))
+        others = [v for v in comp if len(g.inc_times[v]) != len(g.inc_times[q])]
+        if not others:
+            continue
+        ctx = QueryContext((q, rng.choice(others)))
+        _, state = drained_state(g, ctx)
+        scores = temporal_pagerank(g, ctx)
+        assert np.abs(state.lower - scores.values).max() <= 1e-12
+        checked += 1
+
+
+def test_query_set_certificate_on_path():
+    """Path c-a-b-d, every edge at time 2, queries (c, a): beta_lower must not
+    exceed the answer's true minimum proximity degree (1/4, not 1/3)."""
+    g = TemporalGraph.from_triples([("c", "a", 2), ("a", "b", 2), ("b", "d", 2)])
+    ctx = QueryContext((g.index["c"], g.index["a"]))
+    res = local_search(g, ctx)
+    scores = temporal_pagerank(g, ctx)
+    true_min = min_proximity_degree(scores, g, res.members)
+    assert res.beta_lower <= true_min + 1e-12
+    exact = exact_community(g, ctx)
+    assert exact.beta <= res.epsilon * res.beta_lower * (1 + 1e-12) + 1e-15

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import tpcore
 from tpcore import (NoQueryActivity, NotConverged, QueryContext, TemporalGraph,
                     power_iteration_pagerank, temporal_pagerank,
                     temporal_pagerank_multi)
@@ -64,13 +65,17 @@ def test_mass_and_range(g):
 
 def test_oracle_equivalence_sweep():
     rng = random.Random(42)
+    # query sets come from their own stream so the single-query inputs stay put
+    set_rng = random.Random(4242)
     for _ in range(30):
         g = random_temporal_graph(rng, n_max=15, m_max=60, t_max=20)
         q = rng.randrange(g.n)
-        ctx = QueryContext.single(q)
-        stream = temporal_pagerank(g, ctx).values
-        oracle = power_iteration_pagerank(g, ctx).values
-        assert np.abs(stream - oracle).max() <= 1e-8
+        others = [v for v in range(g.n) if v != q]
+        extra = set_rng.sample(others, min(set_rng.randint(1, 2), len(others)))
+        for ctx in (QueryContext.single(q), QueryContext((q, *extra))):
+            stream = temporal_pagerank(g, ctx).values
+            oracle = power_iteration_pagerank(g, ctx).values
+            assert np.abs(stream - oracle).max() <= 1e-8
 
 
 # ---- multiple query vertices ----------------------------------------------------
@@ -84,16 +89,22 @@ def test_multi_singleton_bit_identical(tri):
 
 def test_multi_mean_tri(tri):
     ctx = QueryContext((tri.index["q"], tri.index["a"]))
-    got = by_label(tri, temporal_pagerank_multi(tri, ctx))
+    got = by_label(tri, temporal_pagerank(tri, ctx))
     assert got["q"] == pytest.approx(0.25, abs=1e-9)
     assert got["a"] == pytest.approx(0.25, abs=1e-9)
     assert got["b"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_multi_names_are_aliases():
+    assert tpcore.temporal_pagerank_multi is tpcore.temporal_pagerank
+    assert tpcore.exact_community_multi is tpcore.exact_community
+    assert tpcore.local_search_multi is tpcore.local_search
+
+
 @given(graph_strategy())
 def test_multi_mass(g):
     queries = tuple(range(min(3, g.n)))
-    scores = temporal_pagerank_multi(g, QueryContext(queries))
+    scores = temporal_pagerank(g, QueryContext(queries))
     assert scores.total() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -104,7 +115,7 @@ def test_no_query_activity_names_vertex():
     with pytest.raises(NoQueryActivity, match="lonely"):
         temporal_pagerank(g, QueryContext.single(0))
     with pytest.raises(NoQueryActivity, match="lonely"):
-        temporal_pagerank_multi(g, QueryContext((1, 0)))
+        temporal_pagerank(g, QueryContext((1, 0)))
 
 
 def test_not_converged(chain3):
@@ -120,8 +131,3 @@ def test_query_context_validation():
     with pytest.raises(ValueError):
         QueryContext(())
     assert QueryContext((3, 1, 3)).queries == (3, 1)
-
-
-def test_single_requires_one_query(tri):
-    with pytest.raises(ValueError):
-        temporal_pagerank(tri, QueryContext((0, 1)))
