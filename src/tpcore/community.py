@@ -49,45 +49,6 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
     return min(proximity_degree(scores, graph, space, u) for u in sorted(space))
 
 
-def _last_connected_round(graph: TemporalGraph, removal_log: Sequence[int],
-                          queries: Sequence[int]) -> int:
-    """Largest k such that one component of V - removal_log[:k] holds every query.
-
-    Replays the removals backwards into a union-find: the vertices never
-    removed go in first, then removal_log[k] for k from the end down, each
-    joined to its neighbours already present.  Removals only ever split
-    components, so the first k at which the queries share a root is the
-    answer.  The queries must share a component of the whole graph.
-    """
-    k = len(removal_log)
-    if len(queries) == 1:
-        return k  # one query always shares its own component; skip the O(m) replay
-    parent = list(range(graph.n))
-    present = [True] * graph.n
-    for u in removal_log:
-        present[u] = False
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def add(u: int) -> None:
-        present[u] = True
-        for v in graph.adj[u]:
-            if present[v]:
-                parent[find(u)] = find(v)
-
-    for u in range(graph.n):
-        if present[u]:
-            add(u)
-    while len({find(q) for q in queries}) > 1:
-        k -= 1
-        add(removal_log[k])
-    return k
-
-
 def _peel(graph: TemporalGraph, values: np.ndarray,
           queries: Sequence[int]) -> tuple[set[int], float]:
     """Greedy removal of minimum-degree vertices; returns the best snapshot's component.
@@ -130,7 +91,7 @@ def _peel(graph: TemporalGraph, values: np.ndarray,
 
     best_beta = 0.0
     best_round = 0
-    last = _last_connected_round(graph, removal_log, queries)
+    last = graph.last_connected_round(range(n), removal_log, queries)
     for i, degree in enumerate(round_degrees[:last + 1]):
         if degree > best_beta:
             best_beta = degree

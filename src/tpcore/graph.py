@@ -1,13 +1,20 @@
-"""Temporal graph model: edge stream, per-vertex incidence, transition denominators.
+"""Temporal graph model: edge stream, per-vertex out-state incidence, denominators.
 
 A temporal graph is an undirected multigraph whose edges carry integer
 timestamps; (u, v, t1) and (u, v, t2) are distinct edges when t1 != t2.
-Edges are stored as a stream sorted non-decreasing by timestamp.  The random
-walk underlying the proximity scores moves over *ordered* temporal edges: the
-two directed copies of each stored edge, where state 2e runs from edge_u[e]
-to edge_v[e] and state 2e+1 runs back.  From a state the walk may continue
-along any edge leaving its tail at a strictly later time; a state with no
-such continuation is dangling and is modelled with a probability-1 self-loop.
+``edge_list`` holds the edges as a stream of (u, v, t) sorted non-decreasing
+by timestamp.  The random walk underlying the proximity scores moves over
+*out-states*, the two directed copies of each edge: out-state s belongs to
+edge s >> 1, runs from u to v when s is even and from v to u when s is odd,
+and its reverse is s ^ 1.  So state ids follow the time-sorted stream.  Each
+vertex u keeps, in stream order, ``inc_states[u]``, the out-states leaving u,
+and ``inc_times[u]``, their timestamps; ``adj[u]`` lists its neighbours.
+From a state the walk may continue along any out-state leaving its arrival
+vertex at a strictly later time; a state with no such continuation is
+dangling and is modelled with a probability-1 self-loop.
+
+The layout is built with numpy and stored as Python lists, because the
+algorithms loop over it one element at a time.
 """
 from __future__ import annotations
 
@@ -29,6 +36,11 @@ class LoadReport:
     self_loops: int = 0
 
 
+def _split(flat: list, cuts: list[int]) -> list[list]:
+    """Cut ``flat`` into consecutive slices ending at the cumulative ``cuts``."""
+    return [flat[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
+
+
 class TemporalGraph:
     """Immutable temporal graph with per-vertex time-sorted incidence.
 
@@ -41,33 +53,30 @@ class TemporalGraph:
                  report: LoadReport | None = None):
         self.labels: list[str] = list(labels)
         self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
-        self.n = len(self.labels)
+        self.n = n = len(self.labels)
         self.m = len(edges)
         self.edge_list: list[tuple[int, int, int]] = [(int(u), int(v), int(t))
                                                       for u, v, t in edges]
-        self.edge_u = np.fromiter((e[0] for e in self.edge_list), dtype=np.int64, count=self.m)
-        self.edge_v = np.fromiter((e[1] for e in self.edge_list), dtype=np.int64, count=self.m)
-        self.edge_t = np.fromiter((e[2] for e in self.edge_list), dtype=np.int64, count=self.m)
         self.report = report or LoadReport()
 
-        inc: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e, (u, v, t) in enumerate(self.edge_list):
-            inc[u].append((t, e, v))
-            inc[v].append((t, e, u))
-            adj[u].add(v)
-            adj[v].add(u)
-        # stream order is already time-sorted, so per-vertex lists are too;
-        # keep python lists of times for bisect plus parallel arrays
-        self.inc_times: list[list[int]] = [[t for t, _, _ in lst] for lst in inc]
-        self.inc_edges: list[list[int]] = [[e for _, e, _ in lst] for lst in inc]
-        self.adj: list[list[int]] = [sorted(s) for s in adj]
-        self.degree = np.fromiter((len(a) for a in self.adj), dtype=np.int64, count=self.n)
-        self.m_static = int(self.degree.sum()) // 2
+        cols = np.array(self.edge_list, dtype=np.int64).reshape(self.m, 3)
+        ends = cols[:, :2].ravel()  # ends[s]: the vertex out-state s leaves
+        # a stable sort groups the states by that vertex, each group in stream order
+        order = np.argsort(ends, kind="stable")
+        grouped = ends[order]
+        times = cols[order >> 1, 2]
+        cuts = np.bincount(ends, minlength=n).cumsum().tolist()
+        self.inc_states: list[list[int]] = _split(order.tolist(), cuts)
+        self.inc_times: list[list[int]] = _split(times.tolist(), cuts)
+        pairs = np.unique(ends * n + cols[:, 1::-1].ravel())
+        self.adj: list[list[int]] = _split(
+            (pairs % n).tolist(), np.bincount(pairs // n, minlength=n).cumsum().tolist())
+        self.m_static = len(pairs) // 2
         self.max_time = [ts[-1] if ts else -1 for ts in self.inc_times]
-        self.occurrence = np.fromiter((len(set(ts)) for ts in self.inc_times),
-                                      dtype=np.int64, count=self.n)
-        self.t_max_occurrence = int(self.occurrence.max()) if self.n else 0
+        fresh = np.ones(len(grouped), dtype=bool)
+        fresh[1:] = (grouped[1:] != grouped[:-1]) | (times[1:] != times[:-1])
+        self.occurrence = np.bincount(grouped[fresh], minlength=n)
+        self.t_max_occurrence = int(self.occurrence.max()) if n else 0
         self._denom: dict[tuple[int, int], float] = {}
 
     # ---- construction ----------------------------------------------------
@@ -109,6 +118,11 @@ class TemporalGraph:
         return cls(labels, edges, report)
 
     # ---- transitions -----------------------------------------------------
+
+    def arrival(self, s: int) -> tuple[int, int]:
+        """(vertex, time) at which out-state ``s`` arrives."""
+        u, v, t = self.edge_list[s >> 1]
+        return (u, t) if s & 1 else (v, t)
 
     def vertex_dangling(self, u: int, t: int) -> bool:
         """True iff u has no incident edge strictly later than t."""
@@ -158,22 +172,56 @@ class TemporalGraph:
         comp = self.connected_component(members, queries[0])
         return all(q in comp for q in queries)
 
+    def last_connected_round(self, universe: Iterable[int], removal_log: Sequence[int],
+                             queries: Sequence[int]) -> int:
+        """Largest k such that one component of universe - removal_log[:k] holds every query.
+
+        Replays the removals backwards into a union-find: the vertices never
+        removed go in first, then removal_log[k] for k from the end down, each
+        joined to its neighbours already present.  Removals only ever split
+        components, so the first k at which the queries share a root is the
+        answer; -1 if not even the whole universe joins them.
+        """
+        k = len(removal_log)
+        if len(queries) == 1:
+            return k  # one query always shares its own component; skip the replay
+        parent = {u: u for u in universe}
+        present = set(parent) - set(removal_log)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def join(u: int) -> None:
+            present.add(u)
+            for v in self.adj[u]:
+                if v in present:
+                    parent[find(u)] = find(v)
+
+        for u in list(present):
+            join(u)
+        while len({find(q) for q in queries}) > 1:
+            if k == 0:
+                return -1
+            k -= 1
+            join(removal_log[k])
+        return k
+
     # ---- misc ----------------------------------------------------------------
 
     def vertex(self, label: str) -> int | None:
         return self.index.get(label)
 
     def triple(self, e: int) -> tuple[str, str, int]:
-        return (self.labels[int(self.edge_u[e])], self.labels[int(self.edge_v[e])],
-                int(self.edge_t[e]))
+        u, v, t = self.edge_list[e]
+        return self.labels[u], self.labels[v], t
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented
-        return (self.labels == other.labels
-                and np.array_equal(self.edge_u, other.edge_u)
-                and np.array_equal(self.edge_v, other.edge_v)
-                and np.array_equal(self.edge_t, other.edge_t))
+        return self.labels == other.labels and self.edge_list == other.edge_list
 
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.n}, m={self.m}, m_static={self.m_static}, "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -50,10 +51,6 @@ class PushState:
                    0.0, alpha)
 
 
-def _out_state_ids(graph: TemporalGraph, u: int) -> list[int]:
-    return [2 * e + (0 if int(graph.edge_u[e]) == u else 1) for e in graph.inc_edges[u]]
-
-
 def propagate(state: PushState, sid: int, graph: TemporalGraph,
               on_lower: Callable[[int, float], None] | None = None,
               force: bool = False) -> None:
@@ -69,9 +66,7 @@ def propagate(state: PushState, sid: int, graph: TemporalGraph,
     r = float(state.residue[sid])
     if r == 0.0 or (r < 1.0 / graph.m and not force):
         return
-    e, rev = divmod(sid, 2)
-    tail = int(graph.edge_u[e]) if rev else int(graph.edge_v[e])
-    t = int(graph.edge_t[e])
+    tail, t = graph.arrival(sid)
     if graph.vertex_dangling(tail, t):
         state.reserve[sid] += r
         state.lower[tail] += r
@@ -86,14 +81,13 @@ def propagate(state: PushState, sid: int, graph: TemporalGraph,
     spread = (1.0 - state.alpha) * r
     distributed = 0.0
     times = graph.inc_times[tail]
-    edges = graph.inc_edges[tail]
+    states = graph.inc_states[tail]
     for i in range(len(times) - 1, -1, -1):
         tj = times[i]
         if tj <= t:
             break
-        j = edges[i]
         share = spread / ((tj - t) * denom)
-        state.residue[2 * j + (0 if int(graph.edge_u[j]) == tail else 1)] += share
+        state.residue[states[i]] += share
         distributed += share
     settled = state.alpha * r
     state.reserve[sid] += settled
@@ -109,11 +103,11 @@ def propagate(state: PushState, sid: int, graph: TemporalGraph,
 def drain(state: PushState, graph: TemporalGraph) -> None:
     """Settle all pending mass; afterwards the lower bounds are the exact scores.
 
-    Walk continuations strictly increase the timestamp, so pushing states in
-    time order empties every residue in a single pass.
+    Walk continuations strictly increase the timestamp and state ids follow
+    the time-sorted stream, so pushing states in id order empties every
+    residue in a single pass.
     """
-    order = sorted(range(2 * graph.m), key=lambda sid: int(graph.edge_t[sid // 2]))
-    for sid in order:
+    for sid in range(2 * graph.m):
         if state.residue[sid] != 0.0:
             propagate(state, sid, graph, force=True)
     state.residue_total = 0.0
@@ -149,8 +143,8 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
 
     state = PushState.fresh(graph, ctx.alpha)
     for q in queries:
-        seed = 1.0 / (len(queries) * len(graph.inc_edges[q]))
-        for sid in _out_state_ids(graph, q):
+        seed = 1.0 / (len(queries) * len(graph.inc_states[q]))
+        for sid in graph.inc_states[q]:
             state.residue[sid] = seed
     state.residue_total = 1.0
 
@@ -198,7 +192,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         rho_hat[u] = val
         heapq.heappush(rho_heap, (val, u))
         is_query = u in query_set
-        for sid in _out_state_ids(graph, u):
+        for sid in graph.inc_states[u]:
             propagate(state, sid, graph, on_lower, force=is_query)
         while rho_heap[0][0] != rho_hat[rho_heap[0][1]]:
             heapq.heappop(rho_heap)
@@ -274,14 +268,14 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     temp upper-bounds the exact optimum.  Rounds run at level eps_bar,
     cascade-removing every vertex whose lower-bound degree cannot exceed
     temp/eps_bar; a survived round records eps_bar as the certified ratio and
-    halves it (never below 1).  A round that would remove a query vertex, or
-    split the query set, is discarded and the previous state returned.
-    Zero-degree vertices can never survive any finite level, so they are
-    cleared in one unrecorded preliminary round.
+    halves it (never below 1).  Rounds run until one would remove a query
+    vertex; that round is discarded, and so is every round from the first
+    that splits the query set, found from the removal log by one union-find
+    replay.  Zero-degree vertices can never survive any finite level, so they
+    are cleared in one unrecorded preliminary round.
     """
     queries = ctx.queries
     qset = set(queries)
-    q0 = queries[0]
     members = set(expanded)
     explored = frozenset(members)
     lower = state.lower
@@ -293,20 +287,11 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
 
     rho = _fresh_degrees(graph, lower, members)
     temp = max(rho.values()) + state.residue_total
-    multi = len(queries) > 1
-    trace: list[float] = []
-    recorded: float | None = None
 
-    def finish(fallback_eps: float | None) -> ApproxResult:
-        component = graph.connected_component(members, q0)
-        fresh = _fresh_degrees(graph, lower, component)
-        beta_lower = min(fresh.values())
-        if fallback_eps is not None:
-            eps = fallback_eps
-            fallback = True
-        else:
-            eps = recorded
-            fallback = False
+    def answer(kept: set[int], eps: float, fallback: bool,
+               trace: Sequence[float] = ()) -> ApproxResult:
+        component = graph.connected_component(kept, queries[0])
+        beta_lower = min(_fresh_degrees(graph, lower, component).values())
         return ApproxResult(frozenset(component), eps, beta_lower, fallback,
                             explored, tuple(trace))
 
@@ -345,8 +330,8 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     # clear them in an unrecorded preliminary round
     while min(rho.values()) <= 0.0:
         doomed, query_fell = run_round(None)
-        blocked = query_fell or (multi and not graph.co_connected(members - doomed,
-                                                                  queries))
+        blocked = query_fell or (len(queries) > 1
+                                 and not graph.co_connected(members - doomed, queries))
         if not blocked:
             members -= doomed
             for u in doomed:
@@ -361,25 +346,29 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
             continue
         # degrees are exact and the queries still cannot outlive the zero
         # level, so no community does better than 0; anything is 1-approximate
-        component = graph.connected_component(members, q0)
-        beta_lower = min(_fresh_degrees(graph, lower, component).values())
-        return ApproxResult(frozenset(component), 1.0, beta_lower, True,
-                            explored, ())
+        return answer(members, 1.0, True)
 
-    eps_bar = temp / min(rho.values())
-    first_level = eps_bar
+    eps_bar = first_level = temp / min(rho.values())
+    start = set(members)
+    removal_log: list[int] = []
+    ends: list[int] = []  # len(removal_log) after each survived round
+    trace: list[float] = []
     while True:
         doomed, query_fell = run_round(eps_bar)
         if query_fell:
-            return finish(first_level if recorded is None else None)
-        if multi and not graph.co_connected(members - doomed, queries):
-            return finish(first_level if recorded is None else None)
+            break
         members -= doomed
         for u in doomed:
             del rho[u]
-        recorded = eps_bar
+        removal_log.extend(doomed)
+        ends.append(len(removal_log))
         trace.append(eps_bar)
         eps_bar = max(eps_bar / 2.0, 1.0)
+    kept = bisect_right(ends, graph.last_connected_round(start, removal_log, queries))
+    if kept == 0:
+        return answer(start, first_level, True)
+    return answer(start - set(removal_log[:ends[kept - 1]]), trace[kept - 1], False,
+                  trace[:kept])
 
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:

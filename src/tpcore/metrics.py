@@ -6,19 +6,45 @@ to 0, the neutral reading of each formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, NamedTuple
 
 from .community import min_proximity_degree
 from .graph import TemporalGraph
 
 
-def _membership(graph: TemporalGraph, subset: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(graph.n, dtype=bool)
-    for u in subset:
-        mask[u] = True
-    return mask
+class _Incidence(NamedTuple):
+    internal: int     # temporal edges with both endpoints in the set
+    cut: int          # temporal edges with exactly one endpoint in the set
+    volume: int       # temporal-edge incidences of the set's vertices
+    times: set[int]   # distinct timestamps of the internal edges
+
+
+def _incidence(graph: TemporalGraph, members: set[int]) -> _Incidence:
+    """Count the set's edges over its own out-states, in O(volume) time."""
+    doubled = cut = volume = 0
+    times: set[int] = set()
+    for u in members:
+        states = graph.inc_states[u]
+        volume += len(states)
+        for s, t in zip(states, graph.inc_times[u]):
+            if graph.arrival(s)[0] in members:
+                doubled += 1
+                times.add(t)
+            else:
+                cut += 1
+    return _Incidence(doubled // 2, cut, volume, times)
+
+
+def _density(size: int, inc: _Incidence) -> float:
+    if size <= 1 or inc.internal == 0:
+        return 0.0
+    return 2.0 * inc.internal / (size * (size - 1) * len(inc.times))
+
+
+def _conductance(graph: TemporalGraph, inc: _Incidence) -> float:
+    if inc.cut == 0:
+        return 0.0
+    return inc.cut / min(inc.volume, 2 * graph.m - inc.volume)
 
 
 def temporal_density(graph: TemporalGraph, subset: Iterable[int]) -> float:
@@ -27,16 +53,8 @@ def temporal_density(graph: TemporalGraph, subset: Iterable[int]) -> float:
     2 * |internal temporal edges| / (|S| * (|S|-1) * |distinct internal times|);
     0 when |S| <= 1 or there are no internal edges.
     """
-    mask = _membership(graph, subset)
-    size = int(mask.sum())
-    if size <= 1:
-        return 0.0
-    internal = mask[graph.edge_u] & mask[graph.edge_v]
-    count = int(internal.sum())
-    if count == 0:
-        return 0.0
-    distinct_times = len(np.unique(graph.edge_t[internal]))
-    return 2.0 * count / (size * (size - 1) * distinct_times)
+    members = set(subset)
+    return _density(len(members), _incidence(graph, members))
 
 
 def temporal_conductance(graph: TemporalGraph, subset: Iterable[int]) -> float:
@@ -45,22 +63,7 @@ def temporal_conductance(graph: TemporalGraph, subset: Iterable[int]) -> float:
     Volumes count temporal-edge incidences, so a nonzero cut guarantees both
     volumes are nonzero; an empty cut scores 0.
     """
-    mask = _membership(graph, subset)
-    side_u = mask[graph.edge_u]
-    side_v = mask[graph.edge_v]
-    cut = int((side_u ^ side_v).sum())
-    if cut == 0:
-        return 0.0
-    vol_s = int(side_u.sum()) + int(side_v.sum())
-    vol_rest = 2 * graph.m - vol_s
-    return cut / min(vol_s, vol_rest)
-
-
-def internal_time_count(graph: TemporalGraph, subset: Iterable[int]) -> int:
-    """Number of distinct timestamps on edges internal to the set."""
-    mask = _membership(graph, subset)
-    internal = mask[graph.edge_u] & mask[graph.edge_v]
-    return len(np.unique(graph.edge_t[internal])) if internal.any() else 0
+    return _conductance(graph, _incidence(graph, set(subset)))
 
 
 def min_degree_metric(scores, graph: TemporalGraph, subset: Iterable[int]) -> float:
@@ -83,10 +86,11 @@ class MetricReport:
 
 def community_report(graph: TemporalGraph, scores, subset: Iterable[int]) -> MetricReport:
     members = set(subset)
+    inc = _incidence(graph, members)
     return MetricReport(
-        td=temporal_density(graph, members),
-        tc=temporal_conductance(graph, members),
+        td=_density(len(members), inc),
+        tc=_conductance(graph, inc),
         md=min_degree_metric(scores, graph, members),
         size=len(members),
-        internal_times=internal_time_count(graph, members),
+        internal_times=len(inc.times),
     )

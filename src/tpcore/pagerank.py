@@ -11,6 +11,7 @@ independent for testing.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,28 +138,23 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     """
     _require_activity(graph, ctx.queries)
     n_states = 2 * graph.m
-    denominator = graph.denominator
     P = np.zeros((n_states, n_states))
-    for e, fwd in ((e, f) for e in range(graph.m) for f in (True, False)):
-        sid = 2 * e + (0 if fwd else 1)
-        tail = int(graph.edge_v[e]) if fwd else int(graph.edge_u[e])
-        t = int(graph.edge_t[e])
-        succ = [(j, int(graph.edge_t[j])) for j in graph.inc_edges[tail]
-                if int(graph.edge_t[j]) > t]
-        if not succ:
-            P[sid, sid] = 1.0
+    arrivals = [graph.arrival(s) for s in range(n_states)]
+    for s, (tail, t) in enumerate(arrivals):
+        times = graph.inc_times[tail]
+        lo = bisect_right(times, t)
+        if lo == len(times):
+            P[s, s] = 1.0
             continue
-        dnm = denominator(tail, t)
-        for j, tj in succ:
-            jid = 2 * j + (0 if int(graph.edge_u[j]) == tail else 1)
-            P[sid, jid] += (1.0 / (tj - t)) / dnm
+        dnm = graph.denominator(tail, t)
+        for tj, j in zip(times[lo:], graph.inc_states[tail][lo:]):
+            P[s, j] += (1.0 / (tj - t)) / dnm
 
     chi = np.zeros(n_states)
     share = 1.0 / len(ctx.queries)
     for q in ctx.queries:
-        w = share / len(graph.inc_edges[q])
-        for e in graph.inc_edges[q]:
-            chi[2 * e + (0 if int(graph.edge_u[e]) == q else 1)] += w
+        out = graph.inc_states[q]
+        chi[out] += share / len(out)
 
     x = np.zeros(n_states)
     delta = np.inf
@@ -172,9 +168,6 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
         raise NotConverged(max_iters, delta)
 
     values = np.zeros(graph.n)
-    for u in range(graph.n):
-        total = 0.0
-        for e in graph.inc_edges[u]:
-            total += x[2 * e + (0 if int(graph.edge_v[e]) == u else 1)]
-        values[u] = total
+    for s, (tail, _) in enumerate(arrivals):
+        values[tail] += x[s]
     return ScoreVector(values, ctx)

@@ -33,7 +33,8 @@ RESPONSE_SCHEMA = {
         },
         "timings": {
             "type": "object",
-            "required": ["load_s", "score_s", "search_s"],
+            "required": ["load_s", "score_s", "search_s", "metrics_s"],
+            "additionalProperties": {"type": "number", "minimum": 0},
         },
         "graph": {"type": "object",
                   "required": ["n", "m", "m_static", "t_max_occurrence"]},
@@ -83,6 +84,16 @@ def test_query_als_json(capsys, tri_file):
     assert payload["epsilon"] == pytest.approx(2.0)
     assert payload["fallback"] is True
     assert payload["explored_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("alg", ["egr", "als", "baseline", "brute"])
+def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
+    code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
+                                "--alg", alg, "--k", "1", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, RESPONSE_SCHEMA)
+    assert set(payload["timings"]) == {"load_s", "score_s", "search_s", "metrics_s"}
 
 
 def test_query_brute_json(capsys, tri_file):

@@ -72,7 +72,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_unsorted_input_is_sorted():
     g = parse_edge_stream(["a b 5", "q a 1"])
-    assert list(g.edge_t) == [1, 5]
+    assert [t for _, _, t in g.edge_list] == [1, 5]
 
 
 def test_round_trip_identical():
@@ -86,13 +86,45 @@ def test_round_trip_identical():
 
 @given(graph_strategy())
 def test_incidence_and_adjacency_invariants(g):
-    assert all(g.edge_t[i] <= g.edge_t[i + 1] for i in range(g.m - 1))
+    assert all(g.edge_list[i][2] <= g.edge_list[i + 1][2] for i in range(g.m - 1))
     assert sum(len(ts) for ts in g.inc_times) == 2 * g.m
     for u in range(g.n):
         for v in g.adj[u]:
             assert u in g.adj[v]
         assert g.temporal_occurrence(u) <= len(g.inc_times[u])
     assert g.t_max_occurrence == max(g.temporal_occurrence(u) for u in range(g.n))
+
+
+def check_layout(g):
+    assert oracle.library_layout(g) == oracle.reference_layout(g)
+    assert g.t_max_occurrence == max(oracle.reference_layout(g)["occurrence"])
+
+
+def test_layout_matches_per_edge_build():
+    rng = random.Random(41)
+    for _ in range(200):
+        check_layout(random_temporal_graph(rng, n_max=15, m_max=60, t_max=8))
+    # an isolated vertex keeps empty lists
+    check_layout(TemporalGraph(["lonely", "u", "v"], [(1, 2, 5)]))
+
+
+def test_layout_at_the_timestamp_limits():
+    top = 2**63 - 1
+    g = parse_edge_stream([f"b c {top}", "a b 0", f"a c {top}", "c d 0", f"b d {top}"])
+    check_layout(g)
+    assert [t for _, _, t in g.edge_list] == [0, 0, top, top, top]
+    assert g.inc_times[g.index["b"]] == [0, top, top]
+    assert g.max_time == [top] * 4
+    assert [int(c) for c in g.occurrence] == [2, 2, 2, 2]
+    assert g.denominator(g.index["b"], 0) == 2.0 / top
+    assert parse_edge_stream(io.StringIO(dumps_edge_stream(g))) == g
+
+
+def test_out_states_follow_the_stream():
+    g = parse_edge_stream(["q a 1", "q b 1", "a b 2"])
+    q, a, b = (g.index[x] for x in "qab")
+    assert (g.inc_states[q], g.inc_states[a], g.inc_states[b]) == ([0, 2], [1, 4], [3, 5])
+    assert [g.arrival(s) for s in range(6)] == [(a, 1), (q, 1), (b, 1), (q, 1), (b, 2), (a, 2)]
 
 
 # ---- ordered edges and transitions -------------------------------------------

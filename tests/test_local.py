@@ -205,6 +205,27 @@ def test_reduce_singleton(tri):
     assert res.beta_lower == 0.0
 
 
+def test_reduce_keeps_rounds_before_a_middle_split():
+    """Queries a and b meet only through x.  With these lower bounds (temp 8)
+    round 1 (level 8) removes the leaf l, round 2 (level 4) removes x and
+    splits the queries, and round 3 (level 2) would remove a.  The answer is
+    the set after round 1, certified at level 8."""
+    g = TemporalGraph.from_triples([
+        ("a", "x", 1), ("x", "b", 1), ("a", "l", 1),
+        ("a", "p1", 1), ("a", "p2", 1), ("p1", "p2", 1),
+        ("b", "q1", 1), ("b", "q2", 1), ("q1", "q2", 1)])
+    ctx = QueryContext((g.index["a"], g.index["b"]))
+    state = PushState.fresh(g, ctx.alpha)
+    weights = {"a": 1, "b": 1, "x": 1, "l": 1, "p1": 3, "p2": 3, "q1": 3, "q2": 3}
+    for lab, w in weights.items():
+        state.lower[g.index[lab]] = w
+    res = reduce_stage(list(range(g.n)), state, g, ctx)
+    assert labels(g, res.members) == ["a", "b", "p1", "p2", "q1", "q2", "x"]
+    assert (res.epsilon, res.epsilon_trace, res.fallback) == (8.0, (8.0,), False)
+    assert res.beta_lower == 2.0  # x's degree: a + b
+    assert not g.co_connected(res.members - {g.index["x"]}, ctx.queries)
+
+
 def test_reduce_query_outside_set(tri):
     from tpcore import QueryNotInSet
     ctx = ctx_for(tri)

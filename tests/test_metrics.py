@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tpcore import (QueryContext, community_report, exact_community,
                     min_degree_metric, temporal_conductance, temporal_density,
                     temporal_pagerank)
+from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
 
 
@@ -91,3 +92,15 @@ def test_community_report(tri):
     assert report.md == pytest.approx(0.5, abs=1e-12)
     assert report.size == 3
     assert report.internal_times == 2
+
+
+def test_metrics_match_mask_formulas():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_temporal_graph(rng, n_max=15, m_max=60, t_max=8)
+        subset = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+        td, tc, times = oracle.reference_metrics(g, subset)
+        assert temporal_density(g, subset) == td
+        assert temporal_conductance(g, subset) == tc
+        report = community_report(g, temporal_pagerank(g, QueryContext.single(0)), subset)
+        assert (report.td, report.tc, report.internal_times) == (td, tc, times)
