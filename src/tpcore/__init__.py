@@ -8,12 +8,13 @@ from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
                      QueryNotInSet, TooLarge, UnknownLabel)
 from .graph import (TemporalGraph, dump_edge_stream, dumps_edge_stream,
                     load_edge_stream, parse_edge_stream)
-from .local import (ApproxResult, PushState, degree_bounds, drain, expand,
-                    local_search, local_search_multi, propagate, reduce_stage)
+from .local import (ApproxResult, degree_bounds, expand, local_search,
+                    local_search_multi, reduce_stage)
 from .metrics import (MetricReport, community_report, min_degree_metric,
                       temporal_conductance, temporal_density)
-from .pagerank import (QueryContext, ScoreVector, power_iteration_pagerank,
-                       temporal_pagerank, temporal_pagerank_multi)
+from .pagerank import (PushState, QueryContext, ScoreVector, drain,
+                       power_iteration_pagerank, propagate, temporal_pagerank,
+                       temporal_pagerank_multi)
 from .synth import SynthConfig, synth_graph, synth_triples
 
 __all__ = [

@@ -106,16 +106,9 @@ class TemporalGraph:
             raise EmptyGraph("no temporal edges after cleaning")
         cleaned.sort(key=lambda e: e[2])  # stable: input order preserved within a timestamp
         index: dict[str, int] = {}
-        labels: list[str] = []
-
-        def vid(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            return index[lab]
-
-        edges = [(vid(u), vid(v), t) for u, v, t in cleaned]
-        return cls(labels, edges, report)
+        edges = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)), t)
+                 for u, v, t in cleaned]
+        return cls(list(index), edges, report)
 
     # ---- transitions -----------------------------------------------------
 
@@ -139,7 +132,8 @@ class TemporalGraph:
         if val is None:
             times = self.inc_times[u]
             lo = bisect_right(times, t0)
-            val = float(np.reciprocal(np.asarray(times[lo:], dtype=np.float64) - t0).sum())
+            # subtract in int64: near 2**63 float64 cannot tell adjacent timestamps apart
+            val = float((1.0 / (np.asarray(times[lo:], dtype=np.int64) - t0)).sum())
             self._denom[key] = val
         return val
 
@@ -258,9 +252,25 @@ def parse_edge_stream(source: TextIO | Iterable[str]) -> TemporalGraph:
 
 
 def load_edge_stream(path: str) -> TemporalGraph:
-    """Load a temporal graph from an edge-stream text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_stream(fh)
+    """Load a temporal graph from a UTF-8 edge-stream text file.
+
+    A byte sequence that is not UTF-8 raises MalformedLine naming the first
+    line that holds one.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_edge_stream(fh)
+    except UnicodeDecodeError:
+        # text mode decodes in chunks, so find the offending line in a second pass
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = raw.decode("utf-8", "replace").strip()
+                    raise MalformedLine(line_no, line,
+                                        f"not valid UTF-8 ({exc.reason})") from None
+        raise
 
 
 def dump_edge_stream(graph: TemporalGraph, sink: TextIO) -> None:

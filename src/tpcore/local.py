@@ -1,12 +1,13 @@
 """Approximate two-stage local search: bounded expansion, then certified reduction.
 
-Stage one runs forward push over the ordered-edge state space outward from the
-query, keeping a reserve (settled mass) and residue (pending mass) per state.
-Per-vertex reserve sums are lower bounds on the proximity scores, and adding
-the total residue gives upper bounds, which prune the expansion while
-guaranteeing the expanded set still covers the exact community.  Stage two
-peels the expanded set at a geometrically shrinking approximation level; every
-level the query survives certifies that level as an approximation ratio.
+Stage one runs the forward push of ``pagerank`` (the one that computes the
+exact scores when drained) outward from the query, pushing only the states
+leaving vertices it expands.  The mass settled per vertex lower-bounds its
+proximity score, and adding the total pending residue gives upper bounds,
+which prune the expansion while guaranteeing the expanded set still covers
+the exact community.  Stage two peels the expanded set at a geometrically
+shrinking approximation level; every level the query survives certifies that
+level as an approximation ratio.
 """
 from __future__ import annotations
 
@@ -17,11 +18,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import QueriesDisconnected, QueryNotInSet
 from .graph import TemporalGraph
-from .pagerank import QueryContext, _require_activity
+from .pagerank import PushState, QueryContext, drain, propagate, seed_state
 
 # drift allowance for the expansion pruning comparisons: bound sums and the
 # degree estimate are accumulated incrementally, so two quantities that are
@@ -30,96 +29,13 @@ from .pagerank import QueryContext, _require_activity
 BOUND_SLACK = 1e-12
 
 
-@dataclass
-class PushState:
-    """Forward-push bookkeeping over the 2m ordered-edge states.
-
-    reserve[s] + residue[s] together always hold the full unit of start mass;
-    lower[v] is the reserve summed over states arriving at v, a certified
-    lower bound of v's proximity score.
-    """
-
-    reserve: np.ndarray
-    residue: np.ndarray
-    lower: np.ndarray
-    residue_total: float
-    alpha: float
-
-    @classmethod
-    def fresh(cls, graph: TemporalGraph, alpha: float) -> "PushState":
-        return cls(np.zeros(2 * graph.m), np.zeros(2 * graph.m), np.zeros(graph.n),
-                   0.0, alpha)
-
-
-def propagate(state: PushState, sid: int, graph: TemporalGraph,
-              on_lower: Callable[[int, float], None] | None = None,
-              force: bool = False) -> None:
-    """Push state ``sid`` if its residue clears the 1/m gate; otherwise a no-op.
-
-    Non-dangling: keep alpha*r as reserve, spread (1-alpha)*r over successors.
-    Dangling: absorb the full residue into the reserve; the self-loop stops
-    alpha of the remaining mass forever, so in the limit everything settles
-    here, and anything less would leak mass and break the degree bounds.
-    ``force`` skips the gate: seed states of a multi-vertex query can start
-    below 1/m and must still fire or no bounds ever accrue.
-    """
-    r = float(state.residue[sid])
-    if r == 0.0 or (r < 1.0 / graph.m and not force):
-        return
-    tail, t = graph.arrival(sid)
-    if graph.vertex_dangling(tail, t):
-        state.reserve[sid] += r
-        state.lower[tail] += r
-        state.residue[sid] = 0.0
-        state.residue_total -= r
-        if state.residue_total < 0.0:
-            state.residue_total = 0.0
-        if on_lower is not None:
-            on_lower(tail, r)
-        return
-    denom = graph.denominator(tail, t)
-    spread = (1.0 - state.alpha) * r
-    distributed = 0.0
-    times = graph.inc_times[tail]
-    states = graph.inc_states[tail]
-    for i in range(len(times) - 1, -1, -1):
-        tj = times[i]
-        if tj <= t:
-            break
-        share = spread / ((tj - t) * denom)
-        state.residue[states[i]] += share
-        distributed += share
-    settled = state.alpha * r
-    state.reserve[sid] += settled
-    state.lower[tail] += settled
-    state.residue[sid] = 0.0
-    state.residue_total += distributed - r
-    if state.residue_total < 0.0:
-        state.residue_total = 0.0  # cached total of non-negatives; kill drift
-    if on_lower is not None:
-        on_lower(tail, settled)
-
-
-def drain(state: PushState, graph: TemporalGraph) -> None:
-    """Settle all pending mass; afterwards the lower bounds are the exact scores.
-
-    Walk continuations strictly increase the timestamp and state ids follow
-    the time-sorted stream, so pushing states in id order empties every
-    residue in a single pass.
-    """
-    for sid in range(2 * graph.m):
-        if state.residue[sid] != 0.0:
-            propagate(state, sid, graph, force=True)
-    state.residue_total = 0.0
-
-
 def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tuple[float, float]:
     """(lower, upper) bracket of u's proximity degree inside ``subset``."""
     space = subset if isinstance(subset, (set, frozenset)) else set(subset)
     lo = 0.0
     for v in graph.adj[u]:
         if v in space:
-            lo += float(state.lower[v])
+            lo += state.lower[v]
     return lo, lo + state.residue_total
 
 
@@ -137,16 +53,9 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     every pop with the push state, expanded list, visited set, and estimate.
     """
     queries = ctx.queries
-    _require_activity(graph, queries)
+    state = seed_state(graph, ctx)
     if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
         raise QueriesDisconnected("query vertices lie in different components")
-
-    state = PushState.fresh(graph, ctx.alpha)
-    for q in queries:
-        seed = 1.0 / (len(queries) * len(graph.inc_states[q]))
-        for sid in graph.inc_states[q]:
-            state.residue[sid] = seed
-    state.residue_total = 1.0
 
     lower = state.lower
     expanded: list[int] = []
@@ -191,9 +100,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 val += lower[v]
         rho_hat[u] = val
         heapq.heappush(rho_heap, (val, u))
-        is_query = u in query_set
-        for sid in graph.inc_states[u]:
-            propagate(state, sid, graph, on_lower, force=is_query)
+        propagate(state, graph.inc_states[u], graph, on_lower, force=u in query_set)
         while rho_heap[0][0] != rho_hat[rho_heap[0][1]]:
             heapq.heappop(rho_heap)
         current_min = rho_heap[0][0]
@@ -249,14 +156,14 @@ class ApproxResult:
         return sorted(graph.labels[u] for u in self.members)
 
 
-def _fresh_degrees(graph: TemporalGraph, lower: np.ndarray, members) -> dict[int, float]:
+def _fresh_degrees(graph: TemporalGraph, lower: list[float], members) -> dict[int, float]:
     space = members if isinstance(members, (set, frozenset)) else set(members)
     out: dict[int, float] = {}
     for u in sorted(space):
         total = 0.0
         for v in graph.adj[u]:
             if v in space:
-                total += float(lower[v])
+                total += lower[v]
         out[u] = total
     return out
 
@@ -318,7 +225,7 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
             u = queue.popleft()
             for v in graph.adj[u]:
                 if v in members and v not in doomed:
-                    rho[v] -= float(lower[u])
+                    rho[v] -= lower[u]
                     if falls(v):
                         if v in qset:
                             return doomed, True

@@ -5,14 +5,18 @@ with probability alpha at each step, and otherwise continues along a strictly
 later incident edge weighted by inverse time gap.  The per-vertex stop
 probability of this walk is the proximity score used throughout the package.
 
-Two implementations: an edge-stream dynamic program (one pass, near-linear)
-and a power-iteration oracle over the explicit ordered-edge state space, kept
-independent for testing.
+The exact scores come from forward push over the 2m ordered-edge states
+(``PushState``, ``propagate``): seed the start distribution, then drain the
+pending mass in state-id order, which is stream order, so one pass settles
+it all.  The local search in ``local`` pushes the same state selectively and
+reads its partial sums as bounds.  A power-iteration oracle over the explicit
+transition matrix stays independent for testing.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,60 +71,106 @@ def _require_activity(graph: TemporalGraph, queries: tuple[int, ...]) -> None:
             raise NoQueryActivity(graph.labels[q])
 
 
+@dataclass
+class PushState:
+    """Forward-push bookkeeping over the 2m ordered-edge states.
+
+    residue[s] is the mass waiting at state s and lower[v] the mass settled at
+    v; together they always hold the full unit of start mass, so lower[v] is a
+    certified lower bound of v's proximity score.  Both are Python lists,
+    because every push reads and writes them one element at a time.
+    """
+
+    residue: list[float]
+    lower: list[float]
+    residue_total: float
+    alpha: float
+
+    @classmethod
+    def fresh(cls, graph: TemporalGraph, alpha: float) -> "PushState":
+        return cls([0.0] * (2 * graph.m), [0.0] * graph.n, 0.0, alpha)
+
+
+def seed_state(graph: TemporalGraph, ctx: QueryContext) -> PushState:
+    """A push state holding the walk's start: 1/(|S| deg q) on each out-state of every query q."""
+    queries = ctx.queries
+    _require_activity(graph, queries)
+    state = PushState.fresh(graph, ctx.alpha)
+    for q in queries:
+        out = graph.inc_states[q]
+        share = 1.0 / (len(queries) * len(out))
+        for sid in out:
+            state.residue[sid] = share
+    state.residue_total = 1.0
+    return state
+
+
+def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
+              on_lower: Callable[[int, float], None] | None = None,
+              force: bool = False) -> None:
+    """Push each state of ``sids`` in turn whose residue clears the 1/m gate.
+
+    Each residue is read when its turn comes, so mass pushed into a later
+    state of ``sids`` is pushed on with it.  Non-dangling: settle alpha*r at
+    the arrival vertex, spread (1-alpha)*r over the successors.  Dangling:
+    settle the full residue; the self-loop stops alpha of the remaining mass
+    forever, so in the limit everything settles here, and anything less would
+    leak mass and break the degree bounds.  ``force`` skips the gate: seed
+    states of a multi-vertex query can start below 1/m and must still fire or
+    no bounds ever accrue.
+    """
+    residue = state.residue
+    lower = state.lower
+    gate = 1.0 / graph.m
+    for sid in sids:
+        r = residue[sid]
+        if r == 0.0 or (r < gate and not force):
+            continue
+        residue[sid] = 0.0  # successors are strictly later, so never sid itself
+        tail, t = graph.arrival(sid)
+        times = graph.inc_times[tail]
+        lo = bisect_right(times, t)  # times[lo:] are the successors' timestamps
+        distributed = 0.0
+        if lo == len(times):
+            settled = r
+        else:
+            denom = graph.denominator(tail, t)
+            spread = (1.0 - state.alpha) * r
+            states = graph.inc_states[tail]
+            for i in range(len(times) - 1, lo - 1, -1):
+                share = spread / ((times[i] - t) * denom)
+                residue[states[i]] += share
+                distributed += share
+            settled = state.alpha * r
+        lower[tail] += settled
+        state.residue_total += distributed - r
+        if state.residue_total < 0.0:
+            state.residue_total = 0.0  # cached total of non-negatives; kill drift
+        if on_lower is not None:
+            on_lower(tail, settled)
+
+
+def drain(state: PushState, graph: TemporalGraph) -> None:
+    """Settle all pending mass; afterwards the lower bounds are the exact scores.
+
+    Walk continuations strictly increase the timestamp and state ids follow
+    the time-sorted stream, so pushing every state in id order empties every
+    residue in a single pass.
+    """
+    propagate(state, range(2 * graph.m), graph, force=True)
+    state.residue_total = 0.0
+
+
 def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
-    """Exact proximity scores for a query set, one pass over the stream.
+    """Exact proximity scores for a query set: the seeded push, drained in stream order.
 
     The walk starts with mass 1/(|S| deg q) on each outgoing state of every
     query q, so by linearity the result is the mean of the per-query score
-    vectors.  Maintains stop[u][t], the probability that the discounted walk
-    stops at u having arrived on an edge with timestamp t.  Each stream edge
-    (u, v, t) forwards mass from both endpoint dictionaries; entries written
-    at time t contribute nothing to the same edge because continuations need
-    a strictly later time, so no freshness guard is required.  Dangling
-    entries are divided by alpha at the end: a walk reaching a dead-end state
-    stops there with probability 1 in the limit.
+    vectors.
     """
-    queries = ctx.queries
-    _require_activity(graph, queries)
-    alpha = ctx.alpha
-    keep = 1.0 - alpha
-    denom = graph.denominator
-    seed = [0.0] * graph.n
-    for q in queries:
-        seed[q] = alpha / (len(queries) * len(graph.inc_times[q]))
-    stop: list[dict[int, float]] = [{} for _ in range(graph.n)]
-
-    for u, v, t in graph.edge_list:
-        du = stop[u]
-        dv = stop[v]
-        if du:
-            acc = 0.0
-            for t1, mass in du.items():
-                if t1 < t:
-                    acc += mass / ((t - t1) * denom(u, t1))
-            if acc:
-                dv[t] = dv.get(t, 0.0) + keep * acc
-        if seed[u]:
-            dv[t] = dv.get(t, 0.0) + seed[u]
-        if dv:
-            acc = 0.0
-            for t2, mass in dv.items():
-                if t2 < t:
-                    acc += mass / ((t - t2) * denom(v, t2))
-            if acc:
-                du[t] = du.get(t, 0.0) + keep * acc
-        if seed[v]:
-            du[t] = du.get(t, 0.0) + seed[v]
-
-    values = np.zeros(graph.n)
-    for u, d in enumerate(stop):
-        total = 0.0
-        for t, mass in d.items():
-            if graph.vertex_dangling(u, t):
-                mass /= alpha
-            total += mass
-        values[u] = total
-    return ScoreVector(values, ctx)
+    state = seed_state(graph, ctx)
+    drain(state, graph)
+    return ScoreVector(np.array(state.lower), ctx)
 
 
 # the same function under the name perfbench/run.py calls

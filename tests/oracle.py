@@ -4,7 +4,9 @@ Everything here is computed from ``edge_list`` alone, one edge at a time, so
 tests can check the library's numpy-built layout and its metrics against it.
 Out-state 2e of edge e = (u, v, t) runs from head u to tail v; 2e+1 runs
 back.  The ordered-edge helpers spell out the walk's transition model one
-state at a time.
+state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
+program over the stream that shares only the graph's denominators with the
+library's push.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tpcore import TemporalGraph
+from tpcore import QueryContext, TemporalGraph
 
 
 class OrderedEdge(NamedTuple):
@@ -63,6 +65,43 @@ def transition_prob(g: TemporalGraph, ei: OrderedEdge, ej: OrderedEdge) -> float
     if head(g, ej) != tail(g, ei) or time(g, ej) <= time(g, ei):
         return 0.0
     return (1.0 / (time(g, ej) - time(g, ei))) / g.denominator(tail(g, ei), time(g, ei))
+
+
+# ---- the edge-stream score DP, as a reference --------------------------------
+
+def stop_dict_pagerank(g: TemporalGraph, ctx: QueryContext) -> np.ndarray:
+    """Exact proximity scores for a query set by one pass over the stream.
+
+    Maintains stop[u][t], the probability that the discounted walk stops at u
+    having arrived on an edge with timestamp t; the walk starts with mass
+    1/(|S| deg q) on each outgoing state of every query q.  Each stream edge
+    (u, v, t) forwards mass from both endpoint dictionaries; entries written
+    at time t contribute nothing to the same edge because continuations need
+    a strictly later time.  Dangling entries are divided by alpha at the end:
+    a walk reaching a dead-end state stops there with probability 1 in the
+    limit.
+    """
+    alpha = ctx.alpha
+    keep = 1.0 - alpha
+    seed = [0.0] * g.n
+    for q in ctx.queries:
+        seed[q] = alpha / (len(ctx.queries) * len(g.inc_times[q]))
+    stop: list[dict[int, float]] = [{} for _ in range(g.n)]
+
+    def forward(src: dict[int, float], x: int, t: int) -> float:
+        return keep * sum(mass / ((t - t1) * g.denominator(x, t1))
+                          for t1, mass in src.items() if t1 < t)
+
+    for u, v, t in g.edge_list:
+        du, dv = stop[u], stop[v]
+        dv[t] = dv.get(t, 0.0) + forward(du, u, t) + seed[u]
+        du[t] = du.get(t, 0.0) + forward(dv, v, t) + seed[v]
+
+    values = np.zeros(g.n)
+    for u, d in enumerate(stop):
+        values[u] = sum(mass / alpha if g.vertex_dangling(u, t) else mass
+                        for t, mass in d.items())
+    return values
 
 
 # ---- the per-edge build and the numpy-mask metrics, as references -------------

@@ -140,6 +140,18 @@ def test_query_malformed_file_exit2(capsys, tmp_path):
     assert "MalformedLine" in err
 
 
+def test_query_non_utf8_file_exit2_json(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"q a 1\n\xffb c 2\n")
+    code, out, err = run(capsys, ["query", "--graph", str(bad), "--q", "q", "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "MalformedLine"
+    assert payload["message"].startswith("line 2: not valid UTF-8")
+    assert "Traceback" not in err
+
+
 def test_query_bad_alpha_exit2(capsys, tri_file):
     code, _, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
                               "--alpha", "1.5"])
@@ -214,6 +226,14 @@ def test_stats_empty_exit2(capsys, tmp_path):
     code, _, err = run(capsys, ["stats", "--graph", str(empty)])
     assert code == 2
     assert "EmptyGraph" in err
+
+
+def test_stats_non_utf8_file_exit2(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffq a 1\n")
+    code, _, err = run(capsys, ["stats", "--graph", str(bad)])
+    assert code == 2
+    assert "MalformedLine" in err and "line 1: not valid UTF-8" in err
 
 
 # ---- bench -------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tpcore import (PushState, QueriesDisconnected, QueryContext, TemporalGraph,
                     power_iteration_pagerank, propagate, proximity_degree,
                     reduce_stage, temporal_pagerank)
 from tests.conftest import ctx_for, random_temporal_graph
+from tests.oracle import stop_dict_pagerank
 from tests.test_graph import edge
 
 
@@ -24,15 +25,17 @@ def test_propagate_chain3_trace(chain3):
     ab = edge(chain3, "a", "b", 2)
     state.residue[qa.state_id] = 1.0
     state.residue_total = 1.0
-    propagate(state, qa.state_id, chain3)
+    propagate(state, [qa.state_id], chain3)
     a, b = chain3.index["a"], chain3.index["b"]
-    assert state.reserve[qa.state_id] == pytest.approx(0.2, abs=1e-15)
+    assert chain3.arrival(qa.state_id)[0] == a
     assert state.lower[a] == pytest.approx(0.2, abs=1e-15)
     assert state.residue[ab.state_id] == pytest.approx(0.8, abs=1e-15)
+    assert sum(state.lower) + sum(state.residue) == pytest.approx(1.0, abs=1e-15)
     # dangling absorption: the whole residue settles
-    propagate(state, ab.state_id, chain3)
+    propagate(state, [ab.state_id], chain3)
     assert state.lower[b] == pytest.approx(0.8, abs=1e-15)
     assert state.residue_total == pytest.approx(0.0, abs=1e-15)
+    assert sum(state.lower) + sum(state.residue) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_propagate_below_gate_is_noop(chain3):
@@ -41,9 +44,10 @@ def test_propagate_below_gate_is_noop(chain3):
     r = 1.0 / (2 * chain3.m)
     state.residue[qa.state_id] = r
     state.residue_total = r
-    propagate(state, qa.state_id, chain3)
+    propagate(state, [qa.state_id], chain3)
     assert state.residue[qa.state_id] == r
-    assert state.reserve.sum() == 0.0
+    assert sum(state.lower) == 0.0
+    assert sum(state.lower) + sum(state.residue) == r
 
 
 def test_propagate_fires_at_exact_gate(chain3):
@@ -52,9 +56,11 @@ def test_propagate_fires_at_exact_gate(chain3):
     r = 1.0 / chain3.m
     state.residue[qa.state_id] = r
     state.residue_total = r
-    propagate(state, qa.state_id, chain3)
+    propagate(state, [qa.state_id], chain3)
+    a = chain3.arrival(qa.state_id)[0]
     assert state.residue[qa.state_id] == 0.0
-    assert state.reserve[qa.state_id] == pytest.approx(0.2 * r, abs=1e-15)
+    assert state.lower[a] == pytest.approx(0.2 * r, abs=1e-15)
+    assert sum(state.lower) + sum(state.residue) == pytest.approx(r, abs=1e-15)
 
 
 def test_mass_conservation_through_expansion():
@@ -64,11 +70,10 @@ def test_mass_conservation_through_expansion():
         ctx = QueryContext.single(rng.randrange(g.n))
 
         def check(state, expanded, visited, beta_hat):
-            total = float(state.reserve.sum()) + float(state.residue.sum())
+            total = sum(state.lower) + sum(state.residue)
             assert total == pytest.approx(1.0, abs=1e-9)
             assert state.residue_total >= -1e-12
-            assert state.residue_total == pytest.approx(float(state.residue.sum()),
-                                                        abs=1e-9)
+            assert state.residue_total == pytest.approx(sum(state.residue), abs=1e-9)
 
         expand(g, ctx, inspect=check)
 
@@ -134,7 +139,7 @@ def test_bounds_after_first_push(chain3):
     qa = edge(chain3, "q", "a", 1)
     state.residue[qa.state_id] = 1.0
     state.residue_total = 1.0
-    propagate(state, qa.state_id, chain3)
+    propagate(state, [qa.state_id], chain3)
     lo, hi = degree_bounds(state, chain3, range(chain3.n), chain3.index["a"])
     assert lo == pytest.approx(0.0, abs=1e-15)
     assert hi == pytest.approx(0.8, abs=1e-15)
@@ -326,7 +331,7 @@ def test_multi_guarantee():
 
 def test_drained_push_matches_query_set_scores():
     """A query set seeds each query's out-states with 1/(|S| deg q), so the
-    drained push equals the one-pass scores even when the degrees differ."""
+    drained push equals the stream DP's scores even when the degrees differ."""
     rng = random.Random(31)
     checked = 0
     while checked < 40:
@@ -338,8 +343,7 @@ def test_drained_push_matches_query_set_scores():
             continue
         ctx = QueryContext((q, rng.choice(others)))
         _, state = drained_state(g, ctx)
-        scores = temporal_pagerank(g, ctx)
-        assert np.abs(state.lower - scores.values).max() <= 1e-12
+        assert np.abs(np.array(state.lower) - stop_dict_pagerank(g, ctx)).max() <= 1e-12
         checked += 1
 
 

@@ -9,6 +9,7 @@ from tpcore import (NoQueryActivity, NotConverged, QueryContext, TemporalGraph,
                     power_iteration_pagerank, temporal_pagerank,
                     temporal_pagerank_multi)
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
+from tests.oracle import stop_dict_pagerank
 
 
 def by_label(graph, scores):
@@ -76,6 +77,41 @@ def test_oracle_equivalence_sweep():
             stream = temporal_pagerank(g, ctx).values
             oracle = power_iteration_pagerank(g, ctx).values
             assert np.abs(stream - oracle).max() <= 1e-8
+
+
+def test_midscale_sweep_matches_stream_dp():
+    """Graphs too large for the dense oracle (n ~ 300, m ~ 3k, low and high
+    occurrence): the push agrees with the independent stream DP."""
+    rng = random.Random(300)
+    for _ in range(20):
+        n = rng.randint(250, 350)
+        horizon = rng.choice([40, 1000])
+        triples = []
+        for _ in range(rng.randint(2500, 3500)):
+            u, v = rng.sample(range(n), 2)
+            triples.append((f"v{u}", f"v{v}", rng.randint(1, horizon)))
+        g = TemporalGraph.from_triples(triples)
+        ctx = QueryContext(tuple(rng.sample(range(g.n), rng.randint(1, 3))))
+        scores = temporal_pagerank(g, ctx)
+        assert np.abs(scores.values - stop_dict_pagerank(g, ctx)).max() <= 1e-12
+        assert scores.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scores_at_the_timestamp_limit():
+    """Shifting every timestamp leaves the walk unchanged, also when the last
+    one lands on 2**63 - 1, where float64 cannot tell adjacent timestamps apart."""
+    rng = random.Random(63)
+    for _ in range(10):
+        g = random_temporal_graph(rng, n_max=10, m_max=30, t_max=20)
+        shift = 2**63 - 1 - g.edge_list[-1][2]
+        late = TemporalGraph(g.labels, [(u, v, t + shift) for u, v, t in g.edge_list])
+        ctx = QueryContext.single(rng.randrange(g.n))
+        # power iteration stops at an L1 change of 1e-12, a few 1e-12 short of the mass
+        for score, mass_tol in ((temporal_pagerank, 1e-12), (power_iteration_pagerank, 1e-10)):
+            expected = score(g, ctx).values
+            got = score(late, ctx)
+            assert np.abs(got.values - expected).max() <= 1e-12
+            assert got.total() == pytest.approx(1.0, abs=mass_tol)
 
 
 # ---- multiple query vertices ----------------------------------------------------
