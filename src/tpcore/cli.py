@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -17,11 +18,11 @@ import time
 
 from .community import brute_force_search, exact_community, kcore_baseline
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
-from .graph import TemporalGraph, load_edge_stream
+from .graph import TemporalGraph, format_edge_stream, load_edge_stream
 from .local import local_search
 from .metrics import community_report
 from .pagerank import QueryContext, temporal_pagerank
-from .synth import SynthConfig, format_edge_stream, synth_triples
+from .synth import SynthConfig, synth_triples
 
 ALGORITHMS = ("egr", "als", "baseline", "brute")
 
@@ -97,35 +98,21 @@ def cmd_query(args: argparse.Namespace) -> int:
                   "t_max_occurrence": graph.t_max_occurrence},
     }
     try:
-        if args.alg == "egr":
-            result = exact_community(graph, ctx)
-            scores = result.scores
-            timings = result.timings
-            response["beta"] = result.beta
-            members = result.members
-        elif args.alg == "brute":
-            t1 = time.perf_counter()
-            result = brute_force_search(graph, ctx)
-            timings = {"score_s": 0.0, "search_s": time.perf_counter() - t1}
-            scores = result.scores
-            response["beta"] = result.beta
-            members = result.members
-        elif args.alg == "baseline":
-            result = kcore_baseline(graph, ctx, args.k)
-            scores = result.scores
-            timings = result.timings
-            response["beta"] = result.beta
-            response["k"] = args.k
-            members = result.members
-        else:
+        if args.alg == "als":
             result = local_search(graph, ctx)
             scores = None
-            timings = result.timings
-            members = result.members
             response["beta"] = result.beta_lower
             response["epsilon"] = result.epsilon
             response["fallback"] = result.fallback
             response["explored_fraction"] = len(result.explored) / graph.n
+        else:
+            solve = {"egr": exact_community, "brute": brute_force_search,
+                     "baseline": functools.partial(kcore_baseline, k=args.k)}[args.alg]
+            result = solve(graph, ctx)
+            scores = result.scores
+            response["beta"] = result.beta
+            if args.alg == "baseline":
+                response["k"] = args.k
     except CommunitySearchError as exc:
         return _fail(4, type(exc).__name__, str(exc), args.json)
 
@@ -133,9 +120,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     if scores is None:
         # md reports the true minimum degree, so als also pays a full score pass
         scores = temporal_pagerank(graph, ctx)
-    response["community"] = sorted(graph.labels[u] for u in members)
-    response["metrics"] = community_report(graph, scores, members).to_dict()
-    response["timings"] = {"load_s": load_s, **timings,
+    response["community"] = result.labels(graph)
+    response["metrics"] = community_report(graph, scores, result.members).to_dict()
+    response["timings"] = {"load_s": load_s, **result.timings,
                            "metrics_s": time.perf_counter() - t1}
 
     if args.json:

@@ -46,7 +46,7 @@ def proximity_degree(scores, graph: TemporalGraph, space, u: int) -> float:
 def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -> float:
     """Minimum proximity degree over ``members``, all degrees taken inside the set."""
     space = members if isinstance(members, (set, frozenset)) else set(members)
-    return min(proximity_degree(scores, graph, space, u) for u in sorted(space))
+    return min(proximity_degree(scores, graph, space, u) for u in space)
 
 
 def _peel(graph: TemporalGraph, values: np.ndarray,
@@ -130,7 +130,9 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
     """
     if graph.n > 12:
         raise TooLarge(f"brute force limited to 12 vertices, got {graph.n}")
+    t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
+    t1 = time.perf_counter()
     values = scores.values
     n = graph.n
     qmask = 0
@@ -168,18 +170,22 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
         elif mn == best:
             union |= mask
     members = frozenset(u for u in range(n) if union >> u & 1)
-    return CommunityResult(members, best, "brute", scores=scores)
+    t2 = time.perf_counter()
+    return CommunityResult(members, best, "brute",
+                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
 
 
 def kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> CommunityResult:
     """Two-criteria baseline: connected k-core containing q, maximizing min score.
 
-    Computes the maximal connected k-core around the query, then repeatedly
-    drops the member of minimum proximity score (cascading the degree
-    constraint and restricting back to the query's component) and keeps the
-    best feasible snapshot seen.  The reported beta is that min score, not a
-    proximity degree.  Heuristic peeling: the model separates structure from
-    proximity, and no exact algorithm is claimed for it.
+    One cascade with a maintained degree per vertex (Batagelj & Zaversnik
+    2003) cuts the maximal k-core, then peels q's component of it in
+    (score, is_query, id) order, cascading the degree constraint and logging
+    the removals.  The answer is q's component at the first round whose taken
+    score is the best, read once at the end: a removal elsewhere never touches
+    that component, and the taken scores never decrease.  The reported beta is
+    that min score, not a proximity degree.  Heuristic peeling: the model
+    separates structure from proximity, and no exact algorithm is claimed.
     """
     if len(ctx.queries) != 1:
         raise ValueError("kcore_baseline takes exactly one query vertex")
@@ -189,55 +195,48 @@ def kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> Community
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
-    values = scores.values
+    values = scores.values.tolist()
+    adj = graph.adj
+    deg = [len(nbrs) for nbrs in adj]
+    alive = [True] * graph.n
+    removed: list[int] = []
 
-    core = set(range(graph.n))
-    if k > 0:
-        deg = {u: len(graph.adj[u]) for u in core}
-        queue = [u for u in core if deg[u] < k]
-        while queue:
-            u = queue.pop()
-            if u not in core:
-                continue
-            core.discard(u)
-            for v in graph.adj[u]:
-                if v in core:
+    def remove(u: int) -> None:
+        """Remove u and every vertex whose degree then falls below k; log them all."""
+        alive[u] = False
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            removed.append(x)
+            for v in adj[x]:
+                if alive[v]:
                     deg[v] -= 1
                     if deg[v] < k:
-                        queue.append(v)
-    if q not in core:
+                        alive[v] = False
+                        stack.append(v)
+
+    for u in range(graph.n):
+        if alive[u] and deg[u] < k:
+            remove(u)
+    if not alive[q]:
         raise NoCore(f"query vertex {graph.labels[q]!r} is not in any connected {k}-core")
 
-    current = graph.connected_component(core, q)
-    order = sorted(current, key=lambda u: (float(values[u]), u == q, u))
-    ptr = 0
-    best_set: frozenset[int] = frozenset(current)
+    start = graph.connected_component([u for u in range(graph.n) if alive[u]], q)
+    removed.clear()
     best_val = -1.0
-    while True:
-        val = min(float(values[u]) for u in current)
-        if val > best_val:
-            best_val = val
-            best_set = frozenset(current)
-        while order[ptr] not in current:
-            ptr += 1
-        u = order[ptr]
+    best_round = 0
+    for u in sorted(start, key=lambda u: (values[u], u == q, u)):
+        if not alive[u]:
+            continue
+        if values[u] > best_val:
+            best_val = values[u]
+            best_round = len(removed)
         if u == q:
             break
-        current.discard(u)
-        if k > 0:
-            queue = [v for v in graph.adj[u] if v in current
-                     and sum(1 for w in graph.adj[v] if w in current) < k]
-            while queue:
-                v = queue.pop()
-                if v not in current:
-                    continue
-                current.discard(v)
-                for w in graph.adj[v]:
-                    if w in current and sum(1 for x in graph.adj[w] if x in current) < k:
-                        queue.append(w)
-        if q not in current:
+        remove(u)
+        if not alive[q]:
             break
-        current = graph.connected_component(current, q)
+    members = graph.connected_component(start.difference(removed[:best_round]), q)
     t2 = time.perf_counter()
-    return CommunityResult(best_set, best_val, "baseline",
+    return CommunityResult(frozenset(members), best_val, "baseline",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)

@@ -19,6 +19,7 @@ algorithms loop over it one element at a time.
 from __future__ import annotations
 
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -72,7 +73,6 @@ class TemporalGraph:
         self.adj: list[list[int]] = _split(
             (pairs % n).tolist(), np.bincount(pairs // n, minlength=n).cumsum().tolist())
         self.m_static = len(pairs) // 2
-        self.max_time = [ts[-1] if ts else -1 for ts in self.inc_times]
         fresh = np.ones(len(grouped), dtype=bool)
         fresh[1:] = (grouped[1:] != grouped[:-1]) | (times[1:] != times[:-1])
         self.occurrence = np.bincount(grouped[fresh], minlength=n)
@@ -117,10 +117,6 @@ class TemporalGraph:
         u, v, t = self.edge_list[s >> 1]
         return (u, t) if s & 1 else (v, t)
 
-    def vertex_dangling(self, u: int, t: int) -> bool:
-        """True iff u has no incident edge strictly later than t."""
-        return t >= self.max_time[u]
-
     def denominator(self, u: int, t0: int) -> float:
         """Normalizer of the walk leaving u after time t0, memoized lazily.
 
@@ -131,9 +127,8 @@ class TemporalGraph:
         val = self._denom.get(key)
         if val is None:
             times = self.inc_times[u]
-            lo = bisect_right(times, t0)
-            # subtract in int64: near 2**63 float64 cannot tell adjacent timestamps apart
-            val = float((1.0 / (np.asarray(times[lo:], dtype=np.int64) - t0)).sum())
+            # subtract as Python ints: near 2**63 float64 cannot tell adjacent timestamps apart
+            val = math.fsum([1.0 / (t - t0) for t in times[bisect_right(times, t0):]])
             self._denom[key] = val
         return val
 
@@ -273,11 +268,14 @@ def load_edge_stream(path: str) -> TemporalGraph:
         raise
 
 
+def format_edge_stream(triples: Iterable[tuple[str, str, int]]) -> str:
+    """The "u v t" lines of ``triples``, in the given order."""
+    return "".join(f"{u} {v} {t}\n" for u, v, t in triples)
+
+
 def dump_edge_stream(graph: TemporalGraph, sink: TextIO) -> None:
     """Write the graph back out in stream (time-sorted) order."""
-    for e in range(graph.m):
-        u, v, t = graph.triple(e)
-        sink.write(f"{u} {v} {t}\n")
+    sink.write(format_edge_stream(graph.triple(e) for e in range(graph.m)))
 
 
 def dumps_edge_stream(graph: TemporalGraph) -> str:

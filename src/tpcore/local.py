@@ -159,7 +159,7 @@ class ApproxResult:
 def _fresh_degrees(graph: TemporalGraph, lower: list[float], members) -> dict[int, float]:
     space = members if isinstance(members, (set, frozenset)) else set(members)
     out: dict[int, float] = {}
-    for u in sorted(space):
+    for u in space:
         total = 0.0
         for v in graph.adj[u]:
             if v in space:

@@ -55,7 +55,3 @@ def synth_triples(cfg: SynthConfig) -> list[tuple[str, str, int]]:
 
 def synth_graph(cfg: SynthConfig) -> TemporalGraph:
     return TemporalGraph.from_triples(synth_triples(cfg))
-
-
-def format_edge_stream(triples: list[tuple[str, str, int]]) -> str:
-    return "".join(f"{u} {v} {t}\n" for u, v, t in triples)

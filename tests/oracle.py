@@ -6,15 +6,18 @@ Out-state 2e of edge e = (u, v, t) runs from head u to tail v; 2e+1 runs
 back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
 program over the stream that shares only the graph's denominators with the
-library's push.
+library's push.  ``reference_kcore_baseline`` is the k-core baseline that
+re-derives the query's component after every removal.
 """
 from __future__ import annotations
 
+import time as _time
 from typing import NamedTuple
 
 import numpy as np
 
-from tpcore import QueryContext, TemporalGraph
+from tpcore import (CommunityResult, NoCore, QueryContext, TemporalGraph,
+                    temporal_pagerank)
 
 
 class OrderedEdge(NamedTuple):
@@ -46,9 +49,15 @@ def ordered_edges(g: TemporalGraph) -> list[OrderedEdge]:
     return [OrderedEdge(e, fwd) for e in range(g.m) for fwd in (True, False)]
 
 
+def vertex_dangling(g: TemporalGraph, u: int, t: int) -> bool:
+    """True iff u has no incident edge strictly later than t."""
+    times = g.inc_times[u]
+    return not times or t >= times[-1]
+
+
 def dangling(g: TemporalGraph, e: OrderedEdge) -> bool:
     """True iff tail(e) has no incident edge strictly later than time(e)."""
-    return g.vertex_dangling(tail(g, e), time(g, e))
+    return vertex_dangling(g, tail(g, e), time(g, e))
 
 
 def successors(g: TemporalGraph, e: OrderedEdge) -> list[OrderedEdge]:
@@ -99,7 +108,7 @@ def stop_dict_pagerank(g: TemporalGraph, ctx: QueryContext) -> np.ndarray:
 
     values = np.zeros(g.n)
     for u, d in enumerate(stop):
-        values[u] = sum(mass / alpha if g.vertex_dangling(u, t) else mass
+        values[u] = sum(mass / alpha if vertex_dangling(g, u, t) else mass
                         for t, mass in d.items())
     return values
 
@@ -120,7 +129,6 @@ def reference_layout(g: TemporalGraph) -> dict:
         "inc_times": inc_times,
         "inc_states": [[s for _, s in lst] for lst in inc],
         "adj": [sorted(a) for a in adj],
-        "max_time": [ts[-1] if ts else -1 for ts in inc_times],
         "occurrence": [len(set(ts)) for ts in inc_times],
         "m_static": sum(len(a) for a in adj) // 2,
     }
@@ -132,7 +140,6 @@ def library_layout(g: TemporalGraph) -> dict:
         "inc_times": g.inc_times,
         "inc_states": g.inc_states,
         "adj": g.adj,
-        "max_time": g.max_time,
         "occurrence": [int(c) for c in g.occurrence],
         "m_static": g.m_static,
     }
@@ -158,3 +165,80 @@ def reference_metrics(g: TemporalGraph, subset) -> tuple[float, float, int]:
         vol_s = int(side_u.sum()) + int(side_v.sum())
         tc = cut / min(vol_s, 2 * g.m - vol_s)
     return td, tc, distinct_times
+
+
+# ---- the k-core baseline as first written, as a reference ---------------------
+# It restricts to the query's component after every removal; the library's
+# version reads that component once.  The body is unchanged, except that
+# `time` is imported as `_time` here (this module's `time` reads a timestamp).
+
+def reference_kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> CommunityResult:
+    """Two-criteria baseline: connected k-core containing q, maximizing min score.
+
+    Computes the maximal connected k-core around the query, then repeatedly
+    drops the member of minimum proximity score (cascading the degree
+    constraint and restricting back to the query's component) and keeps the
+    best feasible snapshot seen.  The reported beta is that min score, not a
+    proximity degree.  Heuristic peeling: the model separates structure from
+    proximity, and no exact algorithm is claimed for it.
+    """
+    if len(ctx.queries) != 1:
+        raise ValueError("kcore_baseline takes exactly one query vertex")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    q = ctx.queries[0]
+    t0 = _time.perf_counter()
+    scores = temporal_pagerank(graph, ctx)
+    t1 = _time.perf_counter()
+    values = scores.values
+
+    core = set(range(graph.n))
+    if k > 0:
+        deg = {u: len(graph.adj[u]) for u in core}
+        queue = [u for u in core if deg[u] < k]
+        while queue:
+            u = queue.pop()
+            if u not in core:
+                continue
+            core.discard(u)
+            for v in graph.adj[u]:
+                if v in core:
+                    deg[v] -= 1
+                    if deg[v] < k:
+                        queue.append(v)
+    if q not in core:
+        raise NoCore(f"query vertex {graph.labels[q]!r} is not in any connected {k}-core")
+
+    current = graph.connected_component(core, q)
+    order = sorted(current, key=lambda u: (float(values[u]), u == q, u))
+    ptr = 0
+    best_set: frozenset[int] = frozenset(current)
+    best_val = -1.0
+    while True:
+        val = min(float(values[u]) for u in current)
+        if val > best_val:
+            best_val = val
+            best_set = frozenset(current)
+        while order[ptr] not in current:
+            ptr += 1
+        u = order[ptr]
+        if u == q:
+            break
+        current.discard(u)
+        if k > 0:
+            queue = [v for v in graph.adj[u] if v in current
+                     and sum(1 for w in graph.adj[v] if w in current) < k]
+            while queue:
+                v = queue.pop()
+                if v not in current:
+                    continue
+                current.discard(v)
+                for w in graph.adj[v]:
+                    if w in current and sum(1 for x in graph.adj[w] if x in current) < k:
+                        queue.append(w)
+        if q not in current:
+            break
+        current = graph.connected_component(current, q)
+    t2 = _time.perf_counter()
+    return CommunityResult(best_set, best_val, "baseline",
+                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)

@@ -104,6 +104,13 @@ def test_query_brute_json(capsys, tri_file):
     assert payload["community"] == ["a", "b", "q"]
 
 
+def test_query_brute_times_its_score_pass(capsys, tri_file):
+    code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
+                                "--alg", "brute", "--json"])
+    assert code == 0
+    assert json.loads(out)["timings"]["score_s"] > 0.0
+
+
 def test_query_multi(capsys, tri_file):
     code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
                                 "--q", "a", "--alg", "egr", "--json"])

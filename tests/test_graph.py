@@ -114,7 +114,7 @@ def test_layout_at_the_timestamp_limits():
     check_layout(g)
     assert [t for _, _, t in g.edge_list] == [0, 0, top, top, top]
     assert g.inc_times[g.index["b"]] == [0, top, top]
-    assert g.max_time == [top] * 4
+    assert [ts[-1] for ts in g.inc_times] == [top] * 4
     assert [int(c) for c in g.occurrence] == [2, 2, 2, 2]
     assert g.denominator(g.index["b"], 0) == 2.0 / top
     assert parse_edge_stream(io.StringIO(dumps_edge_stream(g))) == g
