@@ -8,6 +8,7 @@ reports the same numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -37,6 +38,13 @@ def _fail(code: int, name: str, message: str, as_json: bool) -> int:
     if as_json:
         print(json.dumps({"error": name, "message": message}))
     return code
+
+
+def _open_out(path: str):
+    """The ``--out`` stream: stdout for "-", else the file (OSError if it cannot be opened)."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _load(path: str, as_json: bool) -> TemporalGraph | int:
@@ -124,6 +132,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     response["metrics"] = community_report(graph, scores, result.members).to_dict()
     response["timings"] = {"load_s": load_s, **result.timings,
                            "metrics_s": time.perf_counter() - t1}
+    response["stats"] = result.stats
 
     if args.json:
         print(json.dumps(response))
@@ -151,12 +160,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
         triples = synth_triples(cfg)
     except ValueError as exc:
         return _fail(2, "InvalidParameter", str(exc), False)
-    text = format_edge_stream(triples)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        with _open_out(args.out) as sink:
+            sink.write(format_edge_stream(triples))
+    except OSError as exc:
+        return _fail(2, type(exc).__name__, str(exc), False)
     return 0
 
 
@@ -208,6 +216,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         picks = sorted(rng.sample(range(graph.n), count))
 
+    try:
+        out = _open_out(args.out)
+    except OSError as exc:
+        return _fail(2, type(exc).__name__, str(exc), False)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_HEADER)
@@ -238,12 +250,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row["precision"] = repr(overlap / len(approx.members))
             row["recall"] = repr(overlap / len(exact.members))
         writer.writerow([row[key] for key in BENCH_HEADER])
-
-    if args.out == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+    with out as sink:
+        sink.write(buf.getvalue())
     return 0
 
 

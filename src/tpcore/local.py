@@ -155,6 +155,11 @@ class ApproxResult:
     def labels(self, graph: TemporalGraph) -> list[str]:
         return sorted(graph.labels[u] for u in self.members)
 
+    @property
+    def stats(self) -> dict[str, object]:
+        """What the search did: vertices explored and the certified levels it passed."""
+        return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace)}
+
 
 def _fresh_degrees(graph: TemporalGraph, lower: list[float], members) -> dict[int, float]:
     space = members if isinstance(members, (set, frozenset)) else set(members)

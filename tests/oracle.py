@@ -7,16 +7,20 @@ back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
 program over the stream that shares only the graph's denominators with the
 library's push.  ``reference_kcore_baseline`` is the k-core baseline that
-re-derives the query's component after every removal.
+re-derives the query's component after every removal, and
+``reference_exact_community`` the exact search that peels the whole graph.
 """
 from __future__ import annotations
 
+import heapq
+import math
 import time as _time
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from tpcore import (CommunityResult, NoCore, QueryContext, TemporalGraph,
+from tpcore import (CommunityResult, NoCore, QueriesDisconnected, QueryContext,
+                    TemporalGraph, min_proximity_degree, proximity_degree,
                     temporal_pagerank)
 
 
@@ -241,4 +245,78 @@ def reference_kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) ->
         current = graph.connected_component(current, q)
     t2 = _time.perf_counter()
     return CommunityResult(best_set, best_val, "baseline",
+                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
+
+
+# ---- the whole-graph exact peel as first written, as a reference --------------
+# It peels every vertex of the graph; the library's version peels only the
+# region its certified bound leaves.  The bodies are unchanged, except for the
+# names, the call between them, and `time` imported as `_time` here.
+
+def reference_peel(graph: TemporalGraph, values: np.ndarray,
+                   queries: Sequence[int]) -> tuple[set[int], float]:
+    """Greedy removal of minimum-degree vertices; returns the best snapshot's component.
+
+    The snapshot is kept as a removal log plus the index of the best round, so
+    no per-round copies are made.  Ties extract the smallest vertex id with
+    query vertices deferred last; extracting a query ends the loop (its degree
+    still competes for the best snapshot, otherwise the reported optimum would
+    go stale when the query itself is the unique minimum).  Only rounds at
+    which the queries still share a component compete.  The best round uses
+    strict improvement, which keeps the earliest and therefore largest optimal
+    snapshot.
+    """
+    n = graph.n
+    qset = set(queries)
+    rho = [proximity_degree(values, graph, range(n), u) for u in range(n)]
+    # full-space degrees: every vertex is present initially
+    alive = [True] * n
+    heap = [(rho[u], u in qset, u) for u in range(n)]
+    heapq.heapify(heap)
+    removal_log: list[int] = []
+    # degree of each round's extracted vertex, taken exactly rounded rather
+    # than from the drift-prone decremented heap value, so real ties stay ties
+    round_degrees: list[float] = []
+
+    while heap:
+        val, _, u = heapq.heappop(heap)
+        if not alive[u] or val != rho[u]:
+            continue
+        round_degrees.append(math.fsum(values[v] for v in graph.adj[u] if alive[v]))
+        if u in qset:
+            break
+        alive[u] = False
+        removal_log.append(u)
+        score_u = float(values[u])
+        for v in graph.adj[u]:
+            if alive[v]:
+                rho[v] -= score_u
+                heapq.heappush(heap, (rho[v], v in qset, v))
+
+    best_beta = 0.0
+    best_round = 0
+    last = graph.last_connected_round(range(n), removal_log, queries)
+    for i, degree in enumerate(round_degrees[:last + 1]):
+        if degree > best_beta:
+            best_beta = degree
+            best_round = i
+    survivors = set(range(n)) - set(removal_log[:best_round])
+    component = graph.connected_component(survivors, queries[0])
+    beta = min_proximity_degree(values, graph, component)
+    return component, beta
+
+
+def reference_exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
+    """Exact search for a query set: score, peel, return the optimum.
+
+    Peeling stops once the query set would split or shrink.
+    """
+    if len(ctx.queries) > 1 and not graph.co_connected(range(graph.n), ctx.queries):
+        raise QueriesDisconnected("query vertices lie in different components")
+    t0 = _time.perf_counter()
+    scores = temporal_pagerank(graph, ctx)
+    t1 = _time.perf_counter()
+    component, beta = reference_peel(graph, scores.values, ctx.queries)
+    t2 = _time.perf_counter()
+    return CommunityResult(frozenset(component), beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)

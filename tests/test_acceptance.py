@@ -188,6 +188,19 @@ def test_criterion_8_near_linear_scaling():
             f"{elapsed:.0f}s total (limit 300s)")
 
 
+def test_criterion_8_exact_search_peels_a_local_region():
+    """Work-counter companion of criterion 8: on its n = 6000 graph and
+    queries, the exact search peels only a small region around each query,
+    whatever the host's speed."""
+    g = synth_graph(SynthConfig(n=6000, avg_deg=5.0, timestamps_per_edge=2,
+                                horizon=40, seed=11))
+    queries = random.Random(99).sample(range(g.n), 40)
+    regions = [exact_community(g, QueryContext.single(q, ALPHA)).stats["region"]
+               for q in queries]
+    verdict(8, max(regions) <= 100,
+            f"largest peeled region {max(regions)} of {g.n} vertices (limit 100)")
+
+
 def test_criterion_9_multi_query_singleton_reduction():
     rng = random.Random(909)
     broken = 0

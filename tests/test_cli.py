@@ -13,7 +13,7 @@ CHAIN3_TEXT = "q a 1\na b 2\n"
 RESPONSE_SCHEMA = {
     "type": "object",
     "required": ["algorithm", "query", "alpha", "community", "beta",
-                 "metrics", "timings", "graph"],
+                 "metrics", "timings", "graph", "stats"],
     "properties": {
         "algorithm": {"enum": ["egr", "als", "baseline", "brute"]},
         "query": {"type": "array", "items": {"type": "string"}},
@@ -38,6 +38,16 @@ RESPONSE_SCHEMA = {
         },
         "graph": {"type": "object",
                   "required": ["n", "m", "m_static", "t_max_occurrence"]},
+        "stats": {
+            "type": "object",
+            "properties": {"bound": {"type": "number", "minimum": 0},
+                           "bound_set": {"type": "integer", "minimum": 1},
+                           "region": {"type": "integer", "minimum": 1},
+                           "explored": {"type": "integer", "minimum": 1},
+                           "epsilon_trace": {"type": "array",
+                                             "items": {"type": "number", "minimum": 1}}},
+            "additionalProperties": False,
+        },
     },
 }
 
@@ -94,6 +104,25 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
     payload = json.loads(out)
     jsonschema.validate(payload, RESPONSE_SCHEMA)
     assert set(payload["timings"]) == {"load_s", "score_s", "search_s", "metrics_s"}
+
+
+@pytest.mark.parametrize("alg, keys", [
+    ("egr", ["bound", "bound_set", "region"]),
+    ("als", ["explored", "epsilon_trace"]),
+    ("baseline", []),
+    ("brute", []),
+])
+def test_query_json_stats_follow_the_existing_keys(capsys, tri_file, alg, keys):
+    code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
+                                "--alg", alg, "--k", "1", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, RESPONSE_SCHEMA)
+    extra = {"als": ["epsilon", "fallback", "explored_fraction"], "baseline": ["k"]}
+    assert list(payload) == (["algorithm", "query", "alpha", "graph", "beta"]
+                             + extra.get(alg, [])
+                             + ["community", "metrics", "timings", "stats"])
+    assert list(payload["stats"]) == keys
 
 
 def test_query_brute_json(capsys, tri_file):
@@ -204,6 +233,13 @@ def test_gen_edge_count_expectation(capsys, tmp_path):
         assert abs(m - expected) <= 0.2 * expected
 
 
+def test_gen_unwritable_out_exit2(capsys, tmp_path):
+    code, _, err = run(capsys, ["gen", "--n", "10", "--avg-deg", "3", "--tpe", "1",
+                                "--horizon", "5", "--out", str(tmp_path / "no" / "g.txt")])
+    assert code == 2
+    assert "FileNotFoundError" in err
+
+
 def test_gen_invalid_params_exit2(capsys):
     code, _, _ = run(capsys, ["gen", "--n", "10", "--avg-deg", "3",
                               "--tpe", "5", "--horizon", "3"])
@@ -298,3 +334,13 @@ def test_bench_stratified(capsys, chain3_file):
 def test_bench_bad_algs_exit2(capsys, chain3_file):
     code, _, _ = run(capsys, ["bench", "--graph", chain3_file, "--algs", "magic"])
     assert code == 2
+
+
+def test_bench_unwritable_out_exit2_before_any_query(capsys, chain3_file, tmp_path,
+                                                      monkeypatch):
+    import tpcore.cli
+    monkeypatch.setattr(tpcore.cli, "exact_community", None)  # a query would crash
+    code, out, err = run(capsys, ["bench", "--graph", chain3_file, "--samples", "1",
+                                  "--out", str(tmp_path / "no" / "b.csv")])
+    assert code == 2
+    assert "FileNotFoundError" in err and out == ""

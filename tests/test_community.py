@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tpcore import (NoCore, QueriesDisconnected, QueryContext, SynthConfig,
-                    TemporalGraph, TooLarge, brute_force_search, exact_community,
-                    exact_community_multi, kcore_baseline, min_proximity_degree,
-                    proximity_degree, synth_graph, temporal_pagerank)
+from tpcore import (CommunitySearchError, NoCore, QueriesDisconnected, QueryContext,
+                    SynthConfig, TemporalGraph, TooLarge, brute_force_search,
+                    exact_community, exact_community_multi, kcore_baseline,
+                    min_proximity_degree, proximity_degree, synth_graph,
+                    synth_triples, temporal_pagerank)
 from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
 
@@ -142,6 +143,113 @@ def test_multi_matches_brute_force():
             assert greedy.members == oracle.members
             assert greedy.beta == pytest.approx(oracle.beta, abs=1e-12)
         checked += 1
+
+
+def exact_or_error(solver, g, ctx):
+    """The solver's result, or the type of the error it raised."""
+    try:
+        return solver(g, ctx)
+    except CommunitySearchError as exc:
+        return type(exc)
+
+
+def answer(outcome):
+    return outcome if isinstance(outcome, type) else (outcome.members, outcome.beta)
+
+
+def beats(g, ctx, mine, ref) -> bool:
+    """True iff ``mine`` certifiably improves on ``ref``: both are connected
+    sets holding every query with the stated minimum degree, and ``mine`` has
+    a higher one, or the same one and strictly more members (the union of two
+    optimal sets is optimal, so ``ref`` was not the maximal optimum)."""
+    scores = temporal_pagerank(g, ctx)
+    for members, beta in (mine, ref):
+        assert g.connected_component(members, ctx.queries[0]) == set(members)
+        assert set(ctx.queries) <= members
+        assert min_proximity_degree(scores, g, members) == beta
+    return mine[1] > ref[1] or (mine[1] == ref[1] and mine[0] > ref[0])
+
+
+def test_exact_matches_whole_graph_peel_sweep():
+    """The bounded, regional peel gives the whole-graph peel's answer bit for
+    bit.  Horizons 1 and 2 put the edges on one or two timestamps, which makes
+    degrees that tie or differ in the last ulp.  There the whole-graph peel's
+    drifting float keys can extract a vertex an ulp above the minimum and miss
+    the optimum; a difference passes only where the library's answer
+    certifiably beats the reference's, and brute force agrees on small graphs."""
+    rng = random.Random(4242)
+    groups = ([(12, 40, h, 500) for h in (5, 20, 1000)]
+              + [(200, 600, h, 400) for h in (5, 20, 1000)]
+              + [(12, 40, h, 200) for h in (1, 2)] + [(200, 600, h, 200) for h in (1, 2)])
+    outcomes = {"answer": 0, "error": 0, "bound": 0, "second_peel": 0}
+    reference_misses = 0
+    for n_max, m_max, horizon, count in groups:
+        for _ in range(count):
+            g = random_temporal_graph(rng, n_max=n_max, m_max=m_max, t_max=horizon)
+            q = rng.randrange(g.n)
+            comp = sorted(g.connected_component(range(g.n), q))
+            queries = [q] + [rng.choice(comp) if rng.random() < 0.7 else rng.randrange(g.n)
+                             for _ in range(rng.randrange(3))]
+            ctx = QueryContext(tuple(queries), rng.choice((0.2, 0.5)))
+            res = exact_or_error(exact_community, g, ctx)
+            mine = answer(res)
+            ref = answer(exact_or_error(oracle.reference_exact_community, g, ctx))
+            if mine != ref:
+                assert isinstance(mine, tuple) and isinstance(ref, tuple)
+                assert beats(g, ctx, mine, ref)
+                if g.n <= 12:
+                    assert mine == answer(exact_or_error(brute_force_search, g, ctx))
+                reference_misses += 1
+            if isinstance(mine, tuple):
+                stats = res.stats
+                outcomes["answer"] += 1
+                outcomes["bound"] += stats["bound"] > 0.0
+                outcomes["second_peel"] += stats["region"] > stats["bound_set"]
+            else:
+                outcomes["error"] += 1
+    assert sum(count for *_, count in groups) >= 3000
+    assert min(outcomes.values()) > 50  # every branch is exercised
+    assert reference_misses <= 10
+
+
+# every edge at one timestamp, so degrees tie or differ only in the last bit
+ULP_APART = [("v5", "v2", 1), ("v3", "v6", 1), ("v6", "v0", 1), ("v5", "v6", 1),
+             ("v7", "v2", 1), ("v2", "v4", 1), ("v3", "v4", 1), ("v0", "v4", 1),
+             ("v2", "v1", 1), ("v1", "v7", 1), ("v7", "v6", 1), ("v1", "v5", 1),
+             ("v2", "v6", 1), ("v0", "v5", 1), ("v3", "v0", 1), ("v3", "v7", 1),
+             ("v3", "v2", 1), ("v5", "v3", 1)]
+
+
+def test_exact_peel_takes_true_minima_an_ulp_apart():
+    """Decremented float keys drift here, so the whole-graph reference peel
+    extracts a vertex an ulp above the minimum and reports a smaller beta;
+    exact integer keys give brute force's answer."""
+    g = TemporalGraph.from_triples(ULP_APART)
+    ctx = QueryContext((g.index["v2"], g.index["v7"]), 0.2)
+    res = exact_community(g, ctx)
+    brute = brute_force_search(g, ctx)
+    assert (res.members, res.beta) == (brute.members, brute.beta)
+    assert oracle.reference_exact_community(g, ctx).beta < res.beta
+
+
+def test_exact_matches_whole_graph_peel_on_a_hub():
+    """A hub joined to half of a 20k-vertex graph: the region is thousands of
+    vertices and the two-hop set nearly the whole graph."""
+    n = 20_000
+    triples = synth_triples(SynthConfig(n, 5.0, 2, 40, 11))
+    rng = random.Random(7)
+    triples += [("hub", f"v{i}", rng.randint(1, 40)) for i in range(0, n, 2)]
+    g = TemporalGraph.from_triples(triples)
+    ctx = QueryContext.single(g.index["hub"])
+    res = exact_community(g, ctx)
+    members, beta = oracle.reference_peel(g, res.scores.values, ctx.queries)
+    assert res.members == members and res.beta == beta
+    assert res.stats["region"] > 1000
+
+
+def test_exact_stats_bound_and_region(tri):
+    res = exact_community(tri, ctx_for(tri))
+    assert res.stats == {"bound": res.beta, "bound_set": 3, "region": 3}
 
 
 # ---- two-criteria baseline ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from tpcore import (EmptyGraph, MalformedLine, QueryNotInSet, TemporalGraph,
-                    dumps_edge_stream, parse_edge_stream)
+                    dumps_edge_stream, load_edge_stream, parse_edge_stream)
 from tests import oracle
 from tests.conftest import graph_strategy, random_temporal_graph
 from tests.oracle import OrderedEdge
@@ -80,6 +81,38 @@ def test_round_trip_identical():
     g2 = parse_edge_stream(io.StringIO(dumps_edge_stream(g)))
     assert g == g2
     assert g.labels == g2.labels
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_leaves_the_collector_as_it_was(enabled, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("q a 1\na b 2\n")
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_edge_stream(str(path))
+        assert gc.isenabled() == enabled
+        TemporalGraph.from_triples([("q", "a", 1)])
+        assert gc.isenabled() == enabled
+        with pytest.raises(MalformedLine):
+            parse_edge_stream(["q a 1", "q a"])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_loading_pauses_the_collector():
+    seen = []
+
+    class Spy(list):
+        def __iter__(self):
+            seen.append(gc.isenabled())
+            return super().__iter__()
+
+    assert gc.isenabled()
+    TemporalGraph.from_triples(Spy([("q", "a", 1)]))
+    parse_edge_stream(Spy(["q a 1"]))
+    assert seen == [False, False]
 
 
 # ---- structure invariants ----------------------------------------------------

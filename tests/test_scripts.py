@@ -1,5 +1,8 @@
 """The experiment scripts still run against the library, on tiny inputs."""
+import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,31 @@ def test_script_runs(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_assembles_perfbench_lines():
+    """The recorder's file layout, from a canned perfbench output; perfbench itself
+    does not run here."""
+    rec = load_script("bench_record")
+    line = {"correct": True, "attempted": 93, "failed": 0,
+            "metrics": {"egr_query_s": {"value": 0.0116, "unit": "s"}}}
+    stdout = "progress goes to stderr, but tolerate noise\n" + json.dumps(line) + "\n\n"
+    parsed = rec.last_json_line(stdout)
+    assert parsed == line
+    record = rec.assemble("x", "abc123", 1, 10.0, {"low-occ": {"trace0": parsed,
+                                                               "trace1": parsed}})
+    assert list(record) == ["label", "commit", "cpu_count", "python", "seed", "seconds",
+                            "workloads"]
+    assert record["commit"] == "abc123" and record["cpu_count"] == os.cpu_count()
+    assert record["python"] == platform.python_version()
+    assert record["workloads"]["low-occ"]["trace0"]["metrics"]["egr_query_s"]["value"] == 0.0116
+    assert json.loads(json.dumps(record)) == record
+    with pytest.raises(ValueError):
+        rec.last_json_line("\n")
