@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Record one perfbench snapshot as BENCH_<label>.json at the repository root.
 
-For every workload that BENCHMARK.json declares, runs perfbench/run.py at one
-seed, once with --trace 0 (the end-to-end metrics) and once with --trace 1
-(the per-layer metrics), and keeps the last line of each run's output, its
-JSON result.  The file also records the commit, os.cpu_count() and the Python
-version, so snapshots taken over time can be compared.
+For every workload that BENCHMARK.json declares, runs perfbench/run.py at
+seed 1 for 10 seconds, once with --trace 0 (the end-to-end metrics) and once
+with --trace 1 (the per-layer metrics), and keeps the last line of each run's
+output, its JSON result.  The file also records the commit, os.cpu_count()
+and the Python version.  Seed and run length are fixed so that every snapshot
+can be compared with the others.
 
-    python3 scripts/bench_record.py <label> [--seed 1] [--seconds 10]
+    python3 scripts/bench_record.py <label>
 """
 import argparse
 import json
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+SECONDS = 10.0
 
 
 def last_json_line(stdout: str) -> dict:
@@ -28,8 +31,7 @@ def last_json_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def assemble(label: str, commit: str, seed: int, seconds: float,
-             runs: dict[str, dict[str, dict]]) -> dict:
+def assemble(label: str, commit: str, runs: dict[str, dict[str, dict]]) -> dict:
     """The BENCH_<label>.json record: ``runs[workload]["trace0" | "trace1"]``
     holds each run's result line."""
     return {
@@ -37,8 +39,8 @@ def assemble(label: str, commit: str, seed: int, seconds: float,
         "commit": commit,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "seed": seed,
-        "seconds": seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "workloads": runs,
     }
 
@@ -49,9 +51,9 @@ def commit_id() -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def run_perfbench(workload: str, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv[1:])} exited {proc.returncode}:\n"
@@ -62,17 +64,14 @@ def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("label", help="names the output file BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10.0)
     args = ap.parse_args()
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {}
     for workload in (w["name"] for w in declared["workloads"]):
-        runs[workload] = {f"trace{t}": run_perfbench(workload, args.seed, args.seconds, t)
-                          for t in (0, 1)}
+        runs[workload] = {f"trace{t}": run_perfbench(workload, t) for t in (0, 1)}
         print(f"{workload}: done", file=sys.stderr)
-    record = assemble(args.label, commit_id(), args.seed, args.seconds, runs)
+    record = assemble(args.label, commit_id(), runs)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)

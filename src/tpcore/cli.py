@@ -216,10 +216,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         picks = sorted(rng.sample(range(graph.n), count))
 
-    try:
-        out = _open_out(args.out)
-    except OSError as exc:
-        return _fail(2, type(exc).__name__, str(exc), False)
+    if args.out != "-":
+        try:  # fail before any query, without truncating what the file holds
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _fail(2, type(exc).__name__, str(exc), False)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_HEADER)
@@ -250,8 +251,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             row["precision"] = repr(overlap / len(approx.members))
             row["recall"] = repr(overlap / len(exact.members))
         writer.writerow([row[key] for key in BENCH_HEADER])
-    with out as sink:
-        sink.write(buf.getvalue())
+    try:
+        with _open_out(args.out) as sink:
+            sink.write(buf.getvalue())
+    except OSError as exc:
+        return _fail(2, type(exc).__name__, str(exc), False)
     return 0
 
 

@@ -123,7 +123,9 @@ def _region(graph: TemporalGraph, values: Sequence[float], q: int, bound: float)
 
     A member v of the maximal optimum C* has full degree >= deg_C*(v) >= the
     optimum >= bound (scores are non-negative, and exactly rounded sums keep
-    that order), and C* is connected and holds q, so C* lies inside.
+    that order), and C* is connected and holds q, so C* lies inside.  Every
+    degree is >= 0, so at bound 0 the region is q's component and no degree
+    is summed.
     """
     adj = graph.adj
     region = {q}
@@ -134,44 +136,75 @@ def _region(graph: TemporalGraph, values: Sequence[float], q: int, bound: float)
         for v in adj[u]:
             if v not in seen:
                 seen.add(v)
-                if math.fsum([values[w] for w in adj[v]]) >= bound:
+                if bound <= 0.0 or math.fsum([values[w] for w in adj[v]]) >= bound:
                     region.add(v)
                     frontier.append(v)
     return region
 
 
+def _joining_set(graph: TemporalGraph, values: Sequence[float],
+                 queries: Sequence[int]) -> set[int]:
+    """Vertices a widest-path flood from the first query takes until it holds every query.
+
+    The flood always takes next a reached query, else the reached vertex of
+    largest full-graph proximity degree, so the set is connected, holds the
+    queries and stays among the high-degree vertices where the optimum lies.
+    Raises QueriesDisconnected when the first query's component runs out first.
+    """
+    adj = graph.adj
+    qset = set(queries)
+    missing = len(qset) - 1
+    u = queries[0]
+    taken = {u}
+    seen = {u}
+    heap: list[tuple[float, int]] = []
+    while missing:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                key = -math.inf if v in qset else -math.fsum([values[w] for w in adj[v]])
+                heapq.heappush(heap, (key, v))
+        if not heap:
+            raise QueriesDisconnected("query vertices lie in different components")
+        _, u = heapq.heappop(heap)
+        taken.add(u)
+        missing -= u in qset
+    return taken
+
+
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     """Exact search for a query set: score, bound, peel the region, return the optimum.
 
-    Peeling the queries' two-hop neighbourhood first gives a connected set
-    holding every query (if its answer joins them), so its minimum degree b
-    is a certified lower bound of the optimum.  Only vertices reachable from
-    the queries through full degrees >= b can belong to the maximal optimum,
-    and the greedy peel is exact on any universe that contains it; when that
-    region lies inside the two-hop set, the first peel already found it.  At
-    b = 0 the region is the first query's component, so a query set split
-    across components shows up there.  ``stats`` records b, the two-hop set's
-    size and the region's size.
+    The bound set is the queries' two-hop neighbourhood, joined where it does
+    not connect the queries by the vertices a widest-path flood takes to
+    reach them all.  It is connected and holds every query, so the answer of
+    its peel joins them too, and that answer's minimum degree b is a
+    certified lower bound of the optimum.  Only vertices reachable from the
+    queries through full degrees >= b can belong to the maximal optimum, and
+    the greedy peel is exact on any universe that contains it; when that
+    region lies inside the bound set, the first peel already found it.  A
+    query set split across components shows up in the flood.  ``stats``
+    records b, the bound set's size and the region's size.
     """
     queries = ctx.queries
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
     values = scores.values.tolist()
-    near = set(queries)
+    bound_set = set(queries)
     for _ in range(2):
-        near.update([v for u in near for v in graph.adj[u]])
-    component, beta = _peel(graph, values, queries, near)
-    bound = beta if all(q in component for q in queries) else 0.0
+        bound_set.update([v for u in bound_set for v in graph.adj[u]])
+    if len(queries) > 1 and not graph.co_connected(bound_set, queries):
+        bound_set |= _joining_set(graph, values, queries)
+    component, bound = _peel(graph, values, queries, bound_set)
+    beta = bound
     region = _region(graph, values, queries[0], bound)
-    if any(q not in region for q in queries):
-        raise QueriesDisconnected("query vertices lie in different components")
-    if not region <= near:
+    if not region <= bound_set:
         component, beta = _peel(graph, values, queries, region)
     t2 = time.perf_counter()
     return CommunityResult(frozenset(component), beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores,
-                           {"bound": bound, "bound_set": len(near), "region": len(region)})
+                           {"bound": bound, "bound_set": len(bound_set), "region": len(region)})
 
 
 # the same function under the name perfbench/run.py calls

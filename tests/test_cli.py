@@ -344,3 +344,17 @@ def test_bench_unwritable_out_exit2_before_any_query(capsys, chain3_file, tmp_pa
                                   "--out", str(tmp_path / "no" / "b.csv")])
     assert code == 2
     assert "FileNotFoundError" in err and out == ""
+
+
+def test_bench_failing_query_leaves_existing_out_as_it_was(chain3_file, tmp_path, monkeypatch):
+    import tpcore.cli
+
+    def broken(graph, ctx):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(tpcore.cli, "exact_community", broken)
+    out = tmp_path / "b.csv"
+    out.write_text("previous run\n")
+    with pytest.raises(RuntimeError):
+        main(["bench", "--graph", chain3_file, "--samples", "1", "--out", str(out)])
+    assert out.read_text() == "previous run\n"

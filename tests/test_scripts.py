@@ -43,12 +43,12 @@ def test_bench_record_assembles_perfbench_lines():
     stdout = "progress goes to stderr, but tolerate noise\n" + json.dumps(line) + "\n\n"
     parsed = rec.last_json_line(stdout)
     assert parsed == line
-    record = rec.assemble("x", "abc123", 1, 10.0, {"low-occ": {"trace0": parsed,
-                                                               "trace1": parsed}})
+    record = rec.assemble("x", "abc123", {"low-occ": {"trace0": parsed, "trace1": parsed}})
     assert list(record) == ["label", "commit", "cpu_count", "python", "seed", "seconds",
                             "workloads"]
     assert record["commit"] == "abc123" and record["cpu_count"] == os.cpu_count()
     assert record["python"] == platform.python_version()
+    assert (record["seed"], record["seconds"]) == (1, 10.0)
     assert record["workloads"]["low-occ"]["trace0"]["metrics"]["egr_query_s"]["value"] == 0.0116
     assert json.loads(json.dumps(record)) == record
     with pytest.raises(ValueError):
