@@ -6,7 +6,7 @@ inside the set) is as large as possible.  Greedy peeling repeatedly removes
 the vertex of minimum proximity degree and returns the best snapshot; the
 monotonicity of the degree under subset restriction makes this exact on any
 vertex set that contains the optimum, so the exact search peels only the
-region a certified lower bound leaves.
+vertices a flood from the queries takes before a certified lower bound stops it.
 """
 from __future__ import annotations
 
@@ -63,26 +63,20 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
     stale when the query itself is the unique minimum).  Only rounds at which
     the queries still share a component compete.  The best round uses strict
     improvement, which keeps the earliest and therefore largest optimal
-    snapshot.  Per-vertex state lives in lists over all n vertices, so a
-    universe of the whole graph costs no more than a plain peel.
+    snapshot.  Per-vertex state lives in dicts keyed by the universe, so a
+    peel costs in proportion to the universe's volume, not to n.
     """
     adj = graph.adj
     universe = list(universe)
     qset = set(queries)
-    alive = [False] * graph.n
-    for u in universe:
-        alive[u] = True
     # degrees are kept in exact integer arithmetic, the scores scaled to a
     # common power-of-two denominator: no decrement drifts, so the vertex
     # extracted is always a true minimum, even among degrees an ulp apart
     ratios = [values[u].as_integer_ratio() for u in universe]
     scale = max(den for _, den in ratios)
-    exact = [0] * graph.n
-    for u, (num, den) in zip(universe, ratios):
-        exact[u] = num * (scale // den)
-    rho = [0] * graph.n
-    for u in universe:
-        rho[u] = sum([exact[v] for v in adj[u] if alive[v]])
+    exact = {u: num * (scale // den) for u, (num, den) in zip(universe, ratios)}
+    # rho holds the degree of every vertex still alive, and only of those
+    rho = {u: sum([exact[v] for v in adj[u] if v in exact]) for u in universe}
     heap = [(rho[u], u in qset, u) for u in universe]
     heapq.heapify(heap)
     removal_log: list[int] = []
@@ -92,18 +86,19 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
 
     while heap:
         val, _, u = heapq.heappop(heap)
-        if not alive[u] or val != rho[u]:
+        if val != rho.get(u):
             continue
         round_degrees.append(val / scale)
         if u in qset:
             break
-        alive[u] = False
+        del rho[u]
         removal_log.append(u)
         score_u = exact[u]
-        for v in adj[u]:
-            if alive[v]:
-                rho[v] -= score_u
-                heapq.heappush(heap, (rho[v], v in qset, v))
+        if score_u:  # a zero score leaves every neighbour's heap entry current
+            for v in adj[u]:
+                if v in rho:
+                    rho[v] -= score_u
+                    heapq.heappush(heap, (rho[v], v in qset, v))
 
     best_beta = 0.0
     best_round = 0
@@ -112,99 +107,62 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
         if degree > best_beta:
             best_beta = degree
             best_round = i
-    survivors = set(universe).difference(removal_log[:best_round])
+    survivors = exact.keys() - removal_log[:best_round]
     component = graph.connected_component(survivors, queries[0])
     beta = min_proximity_degree(values, graph, component)
     return component, beta
 
 
-def _region(graph: TemporalGraph, values: Sequence[float], q: int, bound: float) -> set[int]:
-    """Vertices reached from q through vertices of full-graph proximity degree >= bound.
-
-    A member v of the maximal optimum C* has full degree >= deg_C*(v) >= the
-    optimum >= bound (scores are non-negative, and exactly rounded sums keep
-    that order), and C* is connected and holds q, so C* lies inside.  Every
-    degree is >= 0, so at bound 0 the region is q's component and no degree
-    is summed.
-    """
-    adj = graph.adj
-    region = {q}
-    seen = {q}
-    frontier = [q]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                if bound <= 0.0 or math.fsum([values[w] for w in adj[v]]) >= bound:
-                    region.add(v)
-                    frontier.append(v)
-    return region
-
-
-def _joining_set(graph: TemporalGraph, values: Sequence[float],
-                 queries: Sequence[int]) -> set[int]:
-    """Vertices a widest-path flood from the first query takes until it holds every query.
-
-    The flood always takes next a reached query, else the reached vertex of
-    largest full-graph proximity degree, so the set is connected, holds the
-    queries and stays among the high-degree vertices where the optimum lies.
-    Raises QueriesDisconnected when the first query's component runs out first.
-    """
-    adj = graph.adj
-    qset = set(queries)
-    missing = len(qset) - 1
-    u = queries[0]
-    taken = {u}
-    seen = {u}
-    heap: list[tuple[float, int]] = []
-    while missing:
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                key = -math.inf if v in qset else -math.fsum([values[w] for w in adj[v]])
-                heapq.heappush(heap, (key, v))
-        if not heap:
-            raise QueriesDisconnected("query vertices lie in different components")
-        _, u = heapq.heappop(heap)
-        taken.add(u)
-        missing -= u in qset
-    return taken
-
-
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
-    """Exact search for a query set: score, bound, peel the region, return the optimum.
+    """Exact search for a query set: score, flood from the queries, peel what the flood took.
 
-    The bound set is the queries' two-hop neighbourhood, joined where it does
-    not connect the queries by the vertices a widest-path flood takes to
-    reach them all.  It is connected and holds every query, so the answer of
-    its peel joins them too, and that answer's minimum degree b is a
-    certified lower bound of the optimum.  Only vertices reachable from the
-    queries through full degrees >= b can belong to the maximal optimum, and
-    the greedy peel is exact on any universe that contains it; when that
-    region lies inside the bound set, the first peel already found it.  A
-    query set split across components shows up in the flood.  ``stats``
-    records b, the bound set's size and the region's size.
+    A widest-path flood from the first query takes a reached query first,
+    else the reached vertex of largest full-graph proximity degree.  Whenever
+    the taken set holds every query and has doubled since the last peel, its
+    peel's answer, a connected superset of the queries, certifies a lower
+    bound b of the optimum.  The flood stops once every reached vertex left
+    has full degree < b: a member of the maximal optimum has full degree >=
+    the optimum >= b and the optimum is connected and holds the first query,
+    so the taken set holds it, and the greedy peel is exact on any universe
+    that does.  A query set split across components shows up as the flood
+    running out.  ``stats`` records b, the size of the prefix whose peel
+    gave it and the size of the final universe.
     """
     queries = ctx.queries
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
     values = scores.values.tolist()
-    bound_set = set(queries)
-    for _ in range(2):
-        bound_set.update([v for u in bound_set for v in graph.adj[u]])
-    if len(queries) > 1 and not graph.co_connected(bound_set, queries):
-        bound_set |= _joining_set(graph, values, queries)
-    component, bound = _peel(graph, values, queries, bound_set)
-    beta = bound
-    region = _region(graph, values, queries[0], bound)
-    if not region <= bound_set:
-        component, beta = _peel(graph, values, queries, region)
+    adj = graph.adj
+    qset = set(queries)
+    missing = len(qset) - 1
+    u = queries[0]
+    taken = [u]
+    seen = {u}
+    heap: list[tuple[float, int]] = []
+    bound, bound_set = 0.0, 0  # every degree is >= 0: no stop before the first peel
+    while True:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                key = -math.inf if v in qset else -math.fsum([values[w] for w in adj[v]])
+                heapq.heappush(heap, (key, v))
+        if not missing and len(taken) >= 2 * bound_set:
+            component, beta = _peel(graph, values, queries, taken)
+            bound, bound_set = beta, len(taken)
+        if not heap or -heap[0][0] < bound:
+            break
+        _, u = heapq.heappop(heap)
+        taken.append(u)
+        missing -= u in qset
+    if missing:
+        raise QueriesDisconnected("query vertices lie in different components")
+    if len(taken) > bound_set:
+        component, beta = _peel(graph, values, queries, taken)
     t2 = time.perf_counter()
     return CommunityResult(frozenset(component), beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores,
-                           {"bound": bound, "bound_set": len(bound_set), "region": len(region)})
+                           {"bound": bound, "bound_set": bound_set, "region": len(taken)})
 
 
 # the same function under the name perfbench/run.py calls

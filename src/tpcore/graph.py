@@ -174,12 +174,27 @@ class TemporalGraph:
         return seen
 
     def co_connected(self, subset: Iterable[int], queries: Sequence[int]) -> bool:
-        """True iff one component of the induced subgraph holds every query vertex."""
-        members = subset if isinstance(subset, (set, frozenset)) else set(subset)
+        """True iff one component of the induced subgraph holds every query vertex.
+
+        A breadth-first search from the first query stops as soon as it has
+        reached them all, so nearby queries cost a few rows, not the
+        component.  A ``range`` subset is tested for membership as it is.
+        """
+        members = subset if isinstance(subset, (set, frozenset, range)) else set(subset)
         if any(q not in members for q in queries):
             return False
-        comp = self.connected_component(members, queries[0])
-        return all(q in comp for q in queries)
+        missing = set(queries).difference(queries[:1])
+        order = [queries[0]]
+        seen = {queries[0]}
+        for u in order:  # grows while it is read: a breadth-first queue
+            if not missing:
+                break
+            for v in self.adj[u]:
+                if v in members and v not in seen:
+                    seen.add(v)
+                    order.append(v)
+                    missing.discard(v)
+        return not missing
 
     def last_connected_round(self, universe: Iterable[int], removal_log: Sequence[int],
                              queries: Sequence[int]) -> int:

@@ -35,6 +35,18 @@ def edge1():
     return TemporalGraph.from_triples(EDGE1)
 
 
+class CountedReads(list):
+    """A list that adds each indexed read to a shared one-item counter."""
+
+    def __init__(self, items, counter):
+        super().__init__(items)
+        self.counter = counter
+
+    def __getitem__(self, i):
+        self.counter[0] += 1
+        return super().__getitem__(i)
+
+
 def ctx_for(graph, label="q", alpha=0.2):
     return QueryContext.single(graph.index[label], alpha)
 

@@ -17,7 +17,7 @@ from tpcore import (QueryContext, TemporalGraph, brute_force_search,
                     proximity_degree, temporal_conductance, temporal_density,
                     temporal_pagerank, temporal_pagerank_multi)
 from tpcore.synth import SynthConfig, synth_graph
-from tests.conftest import CHAIN3, TRI, random_temporal_graph
+from tests.conftest import CHAIN3, TRI, CountedReads, random_temporal_graph
 
 ALPHA = 0.2
 
@@ -199,6 +199,25 @@ def test_criterion_8_exact_search_peels_a_local_region():
                for q in queries]
     verdict(8, max(regions) <= 100,
             f"largest peeled region {max(regions)} of {g.n} vertices (limit 100)")
+
+
+def test_criterion_8_score_pass_work_scales_linearly():
+    """Work-counter companion of criterion 8: the successor updates of the
+    score pass, which reads one row entry of ``inc_states`` per update, for
+    its 40 queries at n = 1500, 3000 and 6000, whatever the host's speed."""
+    updates = []
+    for n in (1500, 3000, 6000):
+        g = synth_graph(SynthConfig(n=n, avg_deg=5.0, timestamps_per_edge=2,
+                                    horizon=40, seed=11))
+        reads = [0]
+        g.inc_states = [CountedReads(row, reads) for row in g.inc_states]
+        for q in random.Random(99).sample(range(g.n), 40):
+            temporal_pagerank(g, QueryContext.single(q, ALPHA))
+        updates.append(reads[0])
+    ratios = [b / a for a, b in zip(updates, updates[1:])]
+    verdict(8, max(ratios) <= 2.5,
+            f"successor updates {', '.join(map(str, updates))}; per-doubling ratios "
+            f"{', '.join(f'{r:.2f}' for r in ratios)} (limit 2.5)")
 
 
 def test_criterion_9_multi_query_singleton_reduction():

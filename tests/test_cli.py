@@ -41,8 +41,11 @@ RESPONSE_SCHEMA = {
         "stats": {
             "type": "object",
             "properties": {"bound": {"type": "number", "minimum": 0},
-                           "bound_set": {"type": "integer", "minimum": 1},
-                           "region": {"type": "integer", "minimum": 1},
+                           "bound_set": {"type": "integer", "minimum": 1,
+                                         "description": "size of the flood prefix whose "
+                                                        "peel gave the bound"},
+                           "region": {"type": "integer", "minimum": 1,
+                                      "description": "size of the flood's final universe"},
                            "explored": {"type": "integer", "minimum": 1},
                            "epsilon_trace": {"type": "array",
                                              "items": {"type": "number", "minimum": 1}}},

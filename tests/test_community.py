@@ -165,14 +165,14 @@ def two_hop(g, queries):
 
 
 def test_exact_matches_whole_graph_peel_sweep():
-    """The bounded, regional peel gives the whole-graph peel's answer bit for
+    """The flood-bounded peel gives the whole-graph peel's answer bit for
     bit, or raises the same error.  Horizons 1 and 2 put the edges on one or
     two timestamps, which makes degrees that tie or differ in the last ulp."""
     rng = random.Random(4242)
     groups = ([(12, 40, h, 500) for h in (5, 20, 1000)]
               + [(200, 600, h, 400) for h in (5, 20, 1000)]
               + [(12, 40, h, 200) for h in (1, 2)] + [(200, 600, h, 200) for h in (1, 2)])
-    outcomes = {"answer": 0, "error": 0, "flood": 0, "second_peel": 0}
+    outcomes = {"answer": 0, "error": 0, "zero_bound": 0, "far_apart": 0, "final_peel": 0}
     for n_max, m_max, horizon, count in groups:
         for _ in range(count):
             g = random_temporal_graph(rng, n_max=n_max, m_max=m_max, t_max=horizon)
@@ -187,8 +187,10 @@ def test_exact_matches_whole_graph_peel_sweep():
             if isinstance(mine, tuple):
                 stats = res.stats
                 outcomes["answer"] += 1
-                outcomes["flood"] += not g.co_connected(two_hop(g, ctx.queries), ctx.queries)
-                outcomes["second_peel"] += stats["region"] > stats["bound_set"]
+                outcomes["zero_bound"] += stats["bound"] == 0.0
+                outcomes["far_apart"] += not g.co_connected(two_hop(g, ctx.queries),
+                                                            ctx.queries)
+                outcomes["final_peel"] += stats["region"] > stats["bound_set"]
             else:
                 outcomes["error"] += 1
     assert sum(count for *_, count in groups) >= 3000
@@ -215,14 +217,19 @@ def test_exact_peel_takes_true_minima_an_ulp_apart():
     assert oracle.reference_exact_community(g, ctx).beta < res.beta
 
 
-def test_exact_matches_whole_graph_peel_on_a_hub():
-    """A hub joined to half of a 20k-vertex graph: the region is thousands of
-    vertices and the two-hop set nearly the whole graph."""
+@pytest.fixture(scope="module")
+def hub_graph():
+    """A 20k-vertex synth graph plus a hub joined to its even-numbered half."""
     n = 20_000
     triples = synth_triples(SynthConfig(n, 5.0, 2, 40, 11))
     rng = random.Random(7)
     triples += [("hub", f"v{i}", rng.randint(1, 40)) for i in range(0, n, 2)]
-    g = TemporalGraph.from_triples(triples)
+    return TemporalGraph.from_triples(triples)
+
+
+def test_exact_matches_whole_graph_peel_on_a_hub(hub_graph):
+    """At the hub itself the region is thousands of vertices."""
+    g = hub_graph
     ctx = QueryContext.single(g.index["hub"])
     res = exact_community(g, ctx)
     members, beta = oracle.reference_peel(g, res.scores.values, ctx.queries)
@@ -230,10 +237,22 @@ def test_exact_matches_whole_graph_peel_on_a_hub():
     assert res.stats["region"] > 1000
 
 
+@pytest.mark.parametrize("label", ["v0", "v2", "v4"])
+def test_exact_bounds_a_hub_neighbour_from_a_small_prefix(hub_graph, label):
+    """At a hub's neighbour the queries' two-hop set would hold the hub's
+    10,000 neighbours; the flood certifies its bound from a small prefix."""
+    g = hub_graph
+    ctx = QueryContext.single(g.index[label])
+    res = exact_community(g, ctx)
+    members, beta = oracle.reference_peel(g, res.scores.values, ctx.queries)
+    assert res.members == members and res.beta == beta
+    assert res.stats["bound_set"] <= 100
+
+
 def test_exact_joins_far_queries_in_a_small_region():
-    """Query sets whose two-hop set leaves them apart: the flood joins them, so
-    the bound stays positive and the region small (measured max 164 of 6,000),
-    and the answer is still the whole-graph peel's."""
+    """Query sets more than two hops apart: the flood takes every query before
+    its first peel, so the bound stays positive and the region small (measured
+    max 170 of 6,000), and the answer is still the whole-graph peel's."""
     g = synth_graph(SynthConfig(n=6000, avg_deg=5.0, timestamps_per_edge=2,
                                 horizon=40, seed=11))
     rng = random.Random(5)
@@ -251,8 +270,10 @@ def test_exact_joins_far_queries_in_a_small_region():
 
 
 def test_exact_stats_bound_and_region(tri):
+    """The flood peels {q}, then q and one neighbour; both answers have minimum
+    degree 0, so the bound never stops it and the final peel takes all three."""
     res = exact_community(tri, ctx_for(tri))
-    assert res.stats == {"bound": res.beta, "bound_set": 3, "region": 3}
+    assert res.stats == {"bound": 0.0, "bound_set": 2, "region": 3}
 
 
 # ---- two-criteria baseline ----------------------------------------------------------

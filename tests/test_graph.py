@@ -8,7 +8,7 @@ from hypothesis import given
 from tpcore import (EmptyGraph, MalformedLine, QueryNotInSet, TemporalGraph,
                     dumps_edge_stream, load_edge_stream, parse_edge_stream)
 from tests import oracle
-from tests.conftest import graph_strategy, random_temporal_graph
+from tests.conftest import CountedReads, graph_strategy, random_temporal_graph
 from tests.oracle import OrderedEdge
 
 
@@ -243,6 +243,27 @@ def test_connected_component(tri, chain3):
     assert chain3.connected_component({cq}, cq) == {cq}
     with pytest.raises(QueryNotInSet):
         chain3.connected_component({ca, cb}, cq)
+
+
+def test_co_connected_stops_once_every_query_is_reached():
+    g = TemporalGraph.from_triples([(f"v{i}", f"v{i + 1}", i % 40 + 1) for i in range(5999)])
+    queries = (g.index["v3000"], g.index["v3001"])
+    reads = [0]
+    g.adj = CountedReads(g.adj, reads)
+    assert g.co_connected(range(g.n), queries)
+    assert reads[0] <= 10  # the whole component is 6,000 rows
+
+
+def test_co_connected_matches_the_component():
+    rng = random.Random(8)
+    for _ in range(200):
+        g = random_temporal_graph(rng, n_max=15, m_max=30, t_max=10)
+        subset = {u for u in range(g.n) if rng.random() < 0.7}
+        queries = tuple(rng.sample(range(g.n), min(g.n, rng.randint(1, 3))))
+        want = (queries[0] in subset
+                and set(queries) <= g.connected_component(subset, queries[0]))
+        assert g.co_connected(subset, queries) == want
+        assert g.co_connected(range(g.n), queries) == g.co_connected(set(range(g.n)), queries)
 
 
 def test_temporal_occurrence(tri, chain3):
