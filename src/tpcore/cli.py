@@ -82,7 +82,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _fail(2, "InvalidParameter", "--alg baseline requires --k", args.json)
     if args.alg == "baseline" and args.k < 0:
         return _fail(2, "InvalidParameter", "--k must be non-negative", args.json)
-    if args.alg == "baseline" and len(args.queries) != 1:
+    if args.alg == "baseline" and len(set(args.queries)) != 1:
         return _fail(2, "InvalidParameter", "baseline supports a single query vertex",
                      args.json)
 

@@ -37,8 +37,8 @@ class CommunityResult:
 def proximity_degree(scores, graph: TemporalGraph, space, u: int) -> float:
     """Sum of proximity scores over u's de-temporal neighbors inside ``space``.
 
-    Exactly-rounded summation: sets with the same score multiset compare equal
-    no matter how they were reached, which the peeling tie-breaks rely on.
+    Exactly-rounded summation: equal score multisets give equal sums however
+    they were reached, which brute force's tie union and ``md`` rely on.
     """
     vals = scores.values if isinstance(scores, ScoreVector) else scores
     return math.fsum(vals[v] for v in graph.adj[u] if v in space)
@@ -51,23 +51,24 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
 
 
 def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
-          universe: Iterable[int]) -> tuple[set[int], float]:
+          universe: list[int]) -> tuple[set[int], float]:
     """Greedy removal of minimum-degree vertices inside ``universe``.
 
-    Returns the best snapshot's component of the first query and its minimum
-    degree; every degree is taken inside the universe.  The snapshot is kept
-    as a removal log plus the index of the best round, so no per-round copies
-    are made.  Ties extract the smallest vertex id with query vertices
-    deferred last; extracting a query ends the loop (its degree still
-    competes for the best snapshot, otherwise the reported optimum would go
-    stale when the query itself is the unique minimum).  Only rounds at which
-    the queries still share a component compete.  The best round uses strict
-    improvement, which keeps the earliest and therefore largest optimal
-    snapshot.  Per-vertex state lives in dicts keyed by the universe, so a
-    peel costs in proportion to the universe's volume, not to n.
+    The universe must be connected and hold every query, as the flood's taken
+    sets do.  Returns the best snapshot (the universe less the removals before
+    the best round) and its minimum degree, all degrees taken inside the
+    universe.  The queries' component of it has the same minimum, or the
+    component's own first extraction, later and with the queries still joined,
+    would have won.  Ties extract the smallest vertex id with query vertices
+    deferred last; extracting a query ends the loop (its degree still competes
+    for the best snapshot, otherwise the reported optimum would go stale when
+    the query itself is the unique minimum).  Only rounds at which the queries
+    still share a component compete.  The best round is the earliest of
+    largest degree, so the snapshot is the largest optimal one.  Per-vertex
+    state lives in dicts keyed by the universe, so a peel costs in proportion
+    to the universe's volume, not to n.
     """
     adj = graph.adj
-    universe = list(universe)
     qset = set(queries)
     # degrees are kept in exact integer arithmetic, the scores scaled to a
     # common power-of-two denominator: no decrement drifts, so the vertex
@@ -100,17 +101,9 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
                     rho[v] -= score_u
                     heapq.heappush(heap, (rho[v], v in qset, v))
 
-    best_beta = 0.0
-    best_round = 0
     last = graph.last_connected_round(universe, removal_log, queries)
-    for i, degree in enumerate(round_degrees[:last + 1]):
-        if degree > best_beta:
-            best_beta = degree
-            best_round = i
-    survivors = exact.keys() - removal_log[:best_round]
-    component = graph.connected_component(survivors, queries[0])
-    beta = min_proximity_degree(values, graph, component)
-    return component, beta
+    best_beta = max(round_degrees[:last + 1])
+    return exact.keys() - removal_log[:round_degrees.index(best_beta)], best_beta
 
 
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
@@ -119,13 +112,14 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     A widest-path flood from the first query takes a reached query first,
     else the reached vertex of largest full-graph proximity degree.  Whenever
     the taken set holds every query and has doubled since the last peel, its
-    peel's answer, a connected superset of the queries, certifies a lower
+    peel's best degree, met on a connected superset of the queries, is a lower
     bound b of the optimum.  The flood stops once every reached vertex left
     has full degree < b: a member of the maximal optimum has full degree >=
     the optimum >= b and the optimum is connected and holds the first query,
     so the taken set holds it, and the greedy peel is exact on any universe
     that does.  A query set split across components shows up as the flood
-    running out.  ``stats`` records b, the size of the prefix whose peel
+    running out.  The answer, the last peel's component of the first query,
+    is walked once.  ``stats`` records b, the size of the prefix whose peel
     gave it and the size of the final universe.
     """
     queries = ctx.queries
@@ -148,7 +142,7 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
                 key = -math.inf if v in qset else -math.fsum([values[w] for w in adj[v]])
                 heapq.heappush(heap, (key, v))
         if not missing and len(taken) >= 2 * bound_set:
-            component, beta = _peel(graph, values, queries, taken)
+            survivors, beta = _peel(graph, values, queries, taken)
             bound, bound_set = beta, len(taken)
         if not heap or -heap[0][0] < bound:
             break
@@ -158,9 +152,10 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     if missing:
         raise QueriesDisconnected("query vertices lie in different components")
     if len(taken) > bound_set:
-        component, beta = _peel(graph, values, queries, taken)
+        survivors, beta = _peel(graph, values, queries, taken)
+    members = frozenset(graph.connected_component(survivors, queries[0]))
     t2 = time.perf_counter()
-    return CommunityResult(frozenset(component), beta, "egr",
+    return CommunityResult(members, beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores,
                            {"bound": bound, "bound_set": bound_set, "region": len(taken)})
 
@@ -216,6 +211,8 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
             union = mask
         elif mn == best:
             union |= mask
+    if not union:
+        raise QueriesDisconnected("query vertices lie in different components")
     members = frozenset(u for u in range(n) if union >> u & 1)
     t2 = time.perf_counter()
     return CommunityResult(members, best, "brute",

@@ -75,8 +75,7 @@ class TemporalGraph:
         self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
         self.n = n = len(self.labels)
         self.m = len(edges)
-        self.edge_list: list[tuple[int, int, int]] = [(int(u), int(v), int(t))
-                                                      for u, v, t in edges]
+        self.edge_list: list[tuple[int, int, int]] = list(edges)
         self.report = report or LoadReport()
 
         cols = np.array(self.edge_list, dtype=np.int64).reshape(self.m, 3)

@@ -158,11 +158,34 @@ def test_query_baseline_nocore_exit4(capsys, tri_file):
     assert json.loads(out)["error"] == "NoCore"
 
 
+def test_query_baseline_takes_a_repeated_query_once(capsys, tri_file):
+    args = ["query", "--graph", tri_file, "--alg", "baseline", "--k", "1", "--json"]
+    code, once, _ = run(capsys, args + ["--q", "q"])
+    assert code == 0
+    code, twice, _ = run(capsys, args + ["--q", "q", "--q", "q"])
+    assert code == 0
+    assert json.loads(twice)["community"] == json.loads(once)["community"]
+    code, _, err = run(capsys, args + ["--q", "q", "--q", "a"])
+    assert code == 2
+    assert "single query vertex" in err
+
+
 def test_query_baseline_requires_k(capsys, tri_file):
     code, _, err = run(capsys, ["query", "--graph", tri_file, "--q", "q",
                                 "--alg", "baseline"])
     assert code == 2
     assert "requires --k" in err
+
+
+@pytest.mark.parametrize("alg", ["egr", "als", "brute"])
+def test_query_split_query_set_exit4(capsys, tmp_path, alg):
+    path = tmp_path / "split.txt"
+    path.write_text("a b 1\nb c 2\nx y 1\ny z 3\n")
+    code, out, err = run(capsys, ["query", "--graph", str(path), "--q", "a", "--q", "x",
+                                  "--alg", alg, "--json"])
+    assert code == 4
+    assert json.loads(out)["error"] == "QueriesDisconnected"
+    assert "Traceback" not in err
 
 
 def test_query_unknown_label_exit3(capsys, tri_file):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tpcore.community as community
 from tpcore import (CommunitySearchError, NoCore, QueriesDisconnected, QueryContext,
                     SynthConfig, TemporalGraph, TooLarge, brute_force_search,
                     exact_community, exact_community_multi, kcore_baseline,
@@ -116,8 +117,9 @@ def test_multi_tri(tri):
 def test_multi_disconnected_queries():
     g = TemporalGraph.from_triples([("q", "a", 1), ("x", "y", 2)])
     ctx = QueryContext((g.index["q"], g.index["x"]))
-    with pytest.raises(QueriesDisconnected):
-        exact_community(g, ctx)
+    for solver in (exact_community, brute_force_search):
+        with pytest.raises(QueriesDisconnected):
+            solver(g, ctx)
 
 
 def test_multi_matches_brute_force():
@@ -235,6 +237,28 @@ def test_exact_matches_whole_graph_peel_on_a_hub(hub_graph):
     members, beta = oracle.reference_peel(g, res.scores.values, ctx.queries)
     assert res.members == members and res.beta == beta
     assert res.stats["region"] > 1000
+
+
+def test_exact_walks_the_answer_component_once(hub_graph, monkeypatch):
+    """Every doubling prefix is peeled, but only for its bound: the answer's
+    component is walked once, after the flood, and no peel recounts it."""
+    g = hub_graph
+    calls = {"peel": 0, "walk": 0, "recount": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(community, "_peel", counted("peel", community._peel))
+    monkeypatch.setattr(g, "connected_component",
+                        counted("walk", g.connected_component))
+    monkeypatch.setattr(community, "min_proximity_degree",
+                        counted("recount", community.min_proximity_degree))
+    res = exact_community(g, QueryContext.single(g.index["hub"]))
+    assert res.stats["bound_set"] == 4096
+    assert calls == {"peel": 14, "walk": 1, "recount": 0}
 
 
 @pytest.mark.parametrize("label", ["v0", "v2", "v4"])
