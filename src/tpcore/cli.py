@@ -190,6 +190,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def stratified_queries(graph: TemporalGraph, count: int) -> list[int]:
+    """``count`` vertices, the middle one of each equal slice of the vertices
+    ranked by (temporal occurrence, id)."""
+    order = sorted(range(graph.n), key=lambda u: (graph.temporal_occurrence(u), u))
+    return [order[int((i + 0.5) * len(order) / count)] for i in range(count)]
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     bad = [a for a in algs if a not in ("egr", "als")]
@@ -210,8 +217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"warning: clamping samples from {count} to {graph.n}", file=sys.stderr)
         count = graph.n
     if args.stratified:
-        order = sorted(range(graph.n), key=lambda u: (graph.temporal_occurrence(u), u))
-        picks = [order[int((i + 0.5) * len(order) / count)] for i in range(count)]
+        picks = stratified_queries(graph, count)
     else:
         rng = random.Random(args.seed)
         picks = sorted(rng.sample(range(graph.n), count))

@@ -2,12 +2,14 @@
 
 Stage one runs the forward push of ``pagerank`` (the one that computes the
 exact scores when drained) outward from the query, pushing only the states
-leaving vertices it expands.  The mass settled per vertex lower-bounds its
-proximity score, and adding the total pending residue gives upper bounds,
-which prune the expansion while guaranteeing the expanded set still covers
-the exact community.  Stage two peels the expanded set at a geometrically
-shrinking approximation level; every level the query survives certifies that
-level as an approximation ratio.
+leaving vertices it expands: when each pops, and again, within a work credit
+earned by the expansion's reads, when later pushes leave mass on them.  The
+mass settled per vertex lower-bounds its proximity score, and adding the
+total pending residue gives upper bounds, which prune the expansion while
+guaranteeing the expanded set still covers the exact community.  Stage two
+peels the expanded set at a geometrically shrinking approximation level;
+every level the query survives certifies that level as an approximation
+ratio.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ BOUND_SLACK = 1e-12
 
 def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tuple[float, float]:
     """(lower, upper) bracket of u's proximity degree inside ``subset``."""
-    space = subset if isinstance(subset, (set, frozenset)) else set(subset)
+    space = subset if isinstance(subset, (set, frozenset, range)) else set(subset)
     lo = 0.0
     for v in graph.adj[u]:
         if v in space:
@@ -46,29 +48,47 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
 
     Seeds each query q's outgoing states with residue 1/(|S| deg q), the start
     distribution of ``temporal_pagerank``, and breadth-first pops vertices,
-    pushing their out-states.  A neighbor enters the frontier only if its
-    degree upper bound can still reach the best minimum-degree estimate seen
-    so far; when the whole frontier falls below that estimate it is merged in
-    and expansion stops.  ``inspect`` (tests) is called after
-    every pop with the push state, expanded list, visited set, and estimate.
+    pushing their out-states.  Mass that a later push settles at an expanded
+    vertex lands on out-states that were already pushed; such fed vertices
+    are pushed again after each pop, in the stream order of their first
+    out-states, while a work credit lasts: the expansion earns one unit per
+    adjacency entry it reads (the popped row and each candidate's admission
+    sum) and a re-push spends one per out-state it scans, so re-pushing costs
+    at most the expansion's own reads plus one vertex's out-states (the
+    residue-threshold push of Andersen, Chung & Lang, 2006).  A neighbor enters
+    the frontier only if its degree upper bound (settled mass around it plus
+    all pending residue, which the re-push lowers) can still reach the best
+    minimum-degree estimate seen so far; when the whole frontier falls below
+    that estimate it is merged in and expansion stops.  The state records the
+    pushes made and the re-pushes among them.  ``inspect`` (tests) is called
+    after every pop and its re-push with the push state, expanded list,
+    visited set, and estimate.
     """
     queries = ctx.queries
     state = seed_state(graph, ctx)
     if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
         raise QueriesDisconnected("query vertices lie in different components")
 
+    adj = graph.adj
+    inc_states = graph.inc_states
     lower = state.lower
     expanded: list[int] = []
     in_expanded: set[int] = set()
     rho_hat: dict[int, float] = {}
-    # entries go stale as estimates grow (they only grow), so the current
-    # minimum is the first heap entry that still matches its vertex's value
+    # one entry per expanded vertex; estimates only grow, so a stale entry
+    # under-keys its vertex and is re-keyed when it reaches the top
     rho_heap: list[tuple[float, int]] = []
     queued: set[int] = set(queries)
     frontier_sum = 0.0
+    # expanded vertices holding mass that landed after their pop, keyed by
+    # their first out-state id
+    fed_heap: list[tuple[int, int]] = []
+    fed: set[int] = set()
+    pushes = 0
 
     def on_lower(vertex: int, delta: float) -> None:
-        nonlocal frontier_sum
+        nonlocal frontier_sum, pushes
+        pushes += 1
         if delta == 0.0:
             return
         if vertex in queued:
@@ -77,12 +97,16 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         # by a vertex still outside are picked up when it joins
         if vertex not in in_expanded:
             return
-        for w in graph.adj[vertex]:
+        if vertex not in fed:
+            fed.add(vertex)
+            heapq.heappush(fed_heap, (inc_states[vertex][0], vertex))
+        for w in adj[vertex]:
             if w in in_expanded:
                 rho_hat[w] += delta
-                heapq.heappush(rho_heap, (rho_hat[w], w))
 
     beta_hat = 0.0
+    credit = 0
+    repushes = 0
     query_set = set(queries)
     frontier: deque[int] = deque(queries)
     visited: set[int] = set(queries)
@@ -92,27 +116,39 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         frontier_sum -= lower[u]
         in_expanded.add(u)
         expanded.append(u)
+        row = adj[u]
+        credit += len(row)
         val = 0.0
-        for v in graph.adj[u]:
+        for v in row:
             if v in in_expanded:
                 rho_hat[v] += lower[u]
-                heapq.heappush(rho_heap, (rho_hat[v], v))
                 val += lower[v]
         rho_hat[u] = val
         heapq.heappush(rho_heap, (val, u))
-        propagate(state, graph.inc_states[u], graph, on_lower, force=u in query_set)
-        while rho_heap[0][0] != rho_hat[rho_heap[0][1]]:
-            heapq.heappop(rho_heap)
-        current_min = rho_heap[0][0]
+        propagate(state, inc_states[u], graph, on_lower, force=u in query_set)
+        # re-push stranded mass, paid for by the reads made so far
+        while fed_heap and credit > 0:
+            v = heapq.heappop(fed_heap)[1]
+            fed.remove(v)
+            out = inc_states[v]
+            credit -= len(out)
+            before = pushes
+            propagate(state, out, graph, on_lower)
+            repushes += pushes - before
+        current_min, v = rho_heap[0]
+        while current_min != rho_hat[v]:
+            heapq.heapreplace(rho_heap, (rho_hat[v], v))
+            current_min, v = rho_heap[0]
         if current_min > beta_hat:
             beta_hat = current_min
-        for v in graph.adj[u]:
+        for v in row:
             if v in visited:
                 continue
             visited.add(v)
             reach = state.residue_total
-            for w in graph.adj[v]:
+            for w in adj[v]:
                 reach += lower[w]
+            credit += len(adj[v])
             if reach >= beta_hat - BOUND_SLACK:
                 frontier.append(v)
                 queued.add(v)
@@ -130,6 +166,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 break
         if inspect is not None:
             inspect(state, expanded, visited, beta_hat)
+    state.pushes, state.repushes = pushes, repushes
     return expanded, state
 
 
@@ -151,14 +188,18 @@ class ApproxResult:
     epsilon_trace: tuple[float, ...] = ()
     algorithm: str = "als"
     timings: dict[str, float] = field(default_factory=dict)
+    pushes: int = 0
+    repushes: int = 0
 
     def labels(self, graph: TemporalGraph) -> list[str]:
         return sorted(graph.labels[u] for u in self.members)
 
     @property
     def stats(self) -> dict[str, object]:
-        """What the search did: vertices explored and the certified levels it passed."""
-        return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace)}
+        """What the search did: vertices explored, the certified levels it passed,
+        and the expansion's state pushes and re-pushes."""
+        return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace),
+                "pushes": self.pushes, "repushes": self.repushes}
 
 
 def _fresh_degrees(graph: TemporalGraph, lower: list[float], members) -> dict[int, float]:
@@ -195,7 +236,8 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
         if q not in members:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
     if len(members) == 1:
-        return ApproxResult(frozenset(members), 1.0, 0.0, False, explored)
+        return ApproxResult(frozenset(members), 1.0, 0.0, False, explored,
+                            pushes=state.pushes, repushes=state.repushes)
 
     rho = _fresh_degrees(graph, lower, members)
     temp = max(rho.values()) + state.residue_total
@@ -205,7 +247,8 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
         component = graph.connected_component(kept, queries[0])
         beta_lower = min(_fresh_degrees(graph, lower, component).values())
         return ApproxResult(frozenset(component), eps, beta_lower, fallback,
-                            explored, tuple(trace))
+                            explored, tuple(trace), pushes=state.pushes,
+                            repushes=state.repushes)
 
     def run_round(eps_bar: float | None) -> tuple[set[int], bool]:
         """Collect the round's removals; True in the second slot means a query fell.

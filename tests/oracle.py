@@ -8,20 +8,25 @@ state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
 program over the stream that shares only the graph's denominators with the
 library's push.  ``reference_kcore_baseline`` is the k-core baseline that
 re-derives the query's component after every removal, and
-``reference_exact_community`` the exact search that peels the whole graph.
+``reference_exact_community`` the exact search that peels the whole graph,
+and ``reference_expand`` the expansion that pushes each vertex's out-states
+only when it pops.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import time as _time
-from typing import NamedTuple, Sequence
+from collections import deque
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from tpcore import (CommunityResult, NoCore, QueriesDisconnected, QueryContext,
+from tpcore import (CommunityResult, NoCore, PushState, QueriesDisconnected, QueryContext,
                     TemporalGraph, min_proximity_degree, proximity_degree,
                     temporal_pagerank)
+from tpcore.local import BOUND_SLACK
+from tpcore.pagerank import propagate, seed_state
 
 
 class OrderedEdge(NamedTuple):
@@ -320,3 +325,103 @@ def reference_exact_community(graph: TemporalGraph, ctx: QueryContext) -> Commun
     t2 = _time.perf_counter()
     return CommunityResult(frozenset(component), beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
+
+
+# ---- the expansion as first written, as a reference ----------------------------
+# It pushes a vertex's out-states once, when the vertex pops; the library's
+# version also re-pushes mass that lands on them later.  The body is
+# unchanged, except for the name.
+
+def reference_expand(graph: TemporalGraph, ctx: QueryContext,
+                     inspect: Callable[[PushState, list[int], set[int], float], None]
+                     | None = None,
+                     ) -> tuple[list[int], PushState]:
+    """Grow a candidate set around the queries that provably covers the exact community.
+
+    Seeds each query q's outgoing states with residue 1/(|S| deg q), the start
+    distribution of ``temporal_pagerank``, and breadth-first pops vertices,
+    pushing their out-states.  A neighbor enters the frontier only if its
+    degree upper bound can still reach the best minimum-degree estimate seen
+    so far; when the whole frontier falls below that estimate it is merged in
+    and expansion stops.  ``inspect`` (tests) is called after
+    every pop with the push state, expanded list, visited set, and estimate.
+    """
+    queries = ctx.queries
+    state = seed_state(graph, ctx)
+    if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
+        raise QueriesDisconnected("query vertices lie in different components")
+
+    lower = state.lower
+    expanded: list[int] = []
+    in_expanded: set[int] = set()
+    rho_hat: dict[int, float] = {}
+    # entries go stale as estimates grow (they only grow), so the current
+    # minimum is the first heap entry that still matches its vertex's value
+    rho_heap: list[tuple[float, int]] = []
+    queued: set[int] = set(queries)
+    frontier_sum = 0.0
+
+    def on_lower(vertex: int, delta: float) -> None:
+        nonlocal frontier_sum
+        if delta == 0.0:
+            return
+        if vertex in queued:
+            frontier_sum += delta
+        # only expanded vertices contribute to expanded degrees; bounds gained
+        # by a vertex still outside are picked up when it joins
+        if vertex not in in_expanded:
+            return
+        for w in graph.adj[vertex]:
+            if w in in_expanded:
+                rho_hat[w] += delta
+                heapq.heappush(rho_heap, (rho_hat[w], w))
+
+    beta_hat = 0.0
+    query_set = set(queries)
+    frontier: deque[int] = deque(queries)
+    visited: set[int] = set(queries)
+    while frontier:
+        u = frontier.popleft()
+        queued.discard(u)
+        frontier_sum -= lower[u]
+        in_expanded.add(u)
+        expanded.append(u)
+        val = 0.0
+        for v in graph.adj[u]:
+            if v in in_expanded:
+                rho_hat[v] += lower[u]
+                heapq.heappush(rho_heap, (rho_hat[v], v))
+                val += lower[v]
+        rho_hat[u] = val
+        heapq.heappush(rho_heap, (val, u))
+        propagate(state, graph.inc_states[u], graph, on_lower, force=u in query_set)
+        while rho_heap[0][0] != rho_hat[rho_heap[0][1]]:
+            heapq.heappop(rho_heap)
+        current_min = rho_heap[0][0]
+        if current_min > beta_hat:
+            beta_hat = current_min
+        for v in graph.adj[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            reach = state.residue_total
+            for w in graph.adj[v]:
+                reach += lower[w]
+            if reach >= beta_hat - BOUND_SLACK:
+                frontier.append(v)
+                queued.add(v)
+                frontier_sum += lower[v]
+        if frontier:
+            pending = state.residue_total + frontier_sum
+            if pending < beta_hat - BOUND_SLACK:
+                for w in frontier:
+                    in_expanded.add(w)
+                    expanded.append(w)
+                frontier.clear()
+                queued.clear()
+                if inspect is not None:
+                    inspect(state, expanded, visited, beta_hat)
+                break
+        if inspect is not None:
+            inspect(state, expanded, visited, beta_hat)
+    return expanded, state

@@ -48,10 +48,20 @@ RESPONSE_SCHEMA = {
                                       "description": "size of the flood's final universe"},
                            "explored": {"type": "integer", "minimum": 1},
                            "epsilon_trace": {"type": "array",
-                                             "items": {"type": "number", "minimum": 1}}},
+                                             "items": {"type": "number", "minimum": 1}},
+                           "pushes": {"type": "integer", "minimum": 0,
+                                      "description": "state pushes of the expansion"},
+                           "repushes": {"type": "integer", "minimum": 0,
+                                        "description": "those of the pushes that moved "
+                                                       "mass stranded on an expanded "
+                                                       "vertex"}},
             "additionalProperties": False,
         },
     },
+    # an als response reports its expansion's work
+    "if": {"properties": {"algorithm": {"const": "als"}}},
+    "then": {"properties": {"stats": {"required": ["explored", "epsilon_trace",
+                                                   "pushes", "repushes"]}}},
 }
 
 
@@ -111,7 +121,7 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
 
 @pytest.mark.parametrize("alg, keys", [
     ("egr", ["bound", "bound_set", "region"]),
-    ("als", ["explored", "epsilon_trace"]),
+    ("als", ["explored", "epsilon_trace", "pushes", "repushes"]),
     ("baseline", []),
     ("brute", []),
 ])

@@ -3,13 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from tpcore import (PushState, QueriesDisconnected, QueryContext, TemporalGraph,
-                    degree_bounds, drain, exact_community, expand, local_search,
-                    local_search_multi, min_proximity_degree,
+import tests.oracle
+import tpcore.local
+from tpcore import (PushState, QueriesDisconnected, QueryContext, SynthConfig,
+                    TemporalGraph, degree_bounds, drain, exact_community, expand,
+                    local_search, local_search_multi, min_proximity_degree,
                     power_iteration_pagerank, propagate, proximity_degree,
-                    reduce_stage, temporal_pagerank)
+                    reduce_stage, synth_graph, temporal_pagerank)
+from tpcore.cli import stratified_queries
 from tests.conftest import ctx_for, random_temporal_graph
-from tests.oracle import stop_dict_pagerank
+from tests.oracle import reference_expand, stop_dict_pagerank
 from tests.test_graph import edge
 
 
@@ -63,19 +66,37 @@ def test_propagate_fires_at_exact_gate(chain3):
     assert sum(state.lower) + sum(state.residue) == pytest.approx(r, abs=1e-15)
 
 
+def query_set_contexts(rng, count, n_max, m_max):
+    """``count`` (graph, context) pairs: sets of 2-3 queries from one component,
+    alternating the tie-heavy horizons 1 and 2."""
+    out = []
+    while len(out) < count:
+        g = random_temporal_graph(rng, n_max=n_max, m_max=m_max, t_max=1 + len(out) % 2)
+        q = rng.randrange(g.n)
+        comp = sorted(g.connected_component(range(g.n), q))
+        if len(comp) < 3:
+            continue
+        out.append((g, QueryContext((q, *rng.sample([v for v in comp if v != q],
+                                                    rng.randint(1, 2))))))
+    return out
+
+
 def test_mass_conservation_through_expansion():
     rng = random.Random(2)
-    for _ in range(25):
-        g = random_temporal_graph(rng, n_max=20, m_max=60, t_max=15)
-        ctx = QueryContext.single(rng.randrange(g.n))
-
+    cases = [(g, QueryContext.single(rng.randrange(g.n)))
+             for g in (random_temporal_graph(rng, n_max=20, m_max=60, t_max=15)
+                       for _ in range(25))]
+    cases += query_set_contexts(rng, 25, n_max=20, m_max=60)
+    repushes = 0
+    for g, ctx in cases:
         def check(state, expanded, visited, beta_hat):
             total = sum(state.lower) + sum(state.residue)
             assert total == pytest.approx(1.0, abs=1e-9)
             assert state.residue_total >= -1e-12
             assert state.residue_total == pytest.approx(sum(state.residue), abs=1e-9)
 
-        expand(g, ctx, inspect=check)
+        repushes += expand(g, ctx, inspect=check)[1].repushes
+    assert repushes > 0  # the checks saw re-pushed mass
 
 
 # ---- expanding stage -------------------------------------------------------------
@@ -132,6 +153,74 @@ def test_expansion_coverage_at_tie_heavy_alphas():
         assert exact.members <= set(expanded)
 
 
+def test_expansion_matches_the_reference_until_it_re_pushes():
+    """Re-keying the estimate heap in place changes no decision: wherever no
+    stranded mass is re-pushed, the expansion is the reference's, bit for bit."""
+    rng = random.Random(17)
+    compared = 0
+    for i in range(80):
+        g = random_temporal_graph(rng, n_max=40, m_max=150, t_max=(1, 2, 20)[i % 3])
+        ctx = QueryContext.single(rng.randrange(g.n))
+        seen, ref_seen = [], []
+        expanded, state = expand(g, ctx, inspect=lambda s, c, d, bh: seen.append(bh))
+        if state.repushes:
+            continue
+        ref_expanded, ref_state = reference_expand(
+            g, ctx, inspect=lambda s, c, d, bh: ref_seen.append(bh))
+        assert (expanded, seen) == (ref_expanded, ref_seen)
+        assert (state.lower, state.residue) == (ref_state.lower, ref_state.residue)
+        compared += 1
+    assert compared >= 20
+
+
+def test_expansion_is_local_on_a_sparse_graph():
+    """On criterion 8's sparse graph shape, mass re-pushed from expanded
+    vertices lets the admission test prune: most stratified queries expand
+    well under the whole graph, and every answer keeps coverage and its
+    certificate."""
+    g = synth_graph(SynthConfig(n=6000, avg_deg=5.0, timestamps_per_edge=2,
+                                horizon=40, seed=7))
+    fractions = []
+    for q in stratified_queries(g, 12):
+        ctx = QueryContext.single(q)
+        approx = local_search(g, ctx)
+        exact = exact_community(g, ctx)
+        assert exact.members <= approx.explored
+        assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
+        fractions.append(len(approx.explored) / g.n)
+    assert float(np.median(fractions)) <= 0.6, fractions
+
+
+def counted_propagate(counter):
+    """``propagate`` that adds each push (one ``on_lower`` call) to counter[0]."""
+    def wrapped(state, sids, graph, on_lower=None, force=False):
+        def counted(vertex, delta):
+            counter[0] += 1
+            on_lower(vertex, delta)
+        propagate(state, sids, graph, counted, force)
+    return wrapped
+
+
+def test_re_push_work_stays_near_the_reference(monkeypatch):
+    """The work credit caps re-pushing by the expansion's own reads: on a dense
+    high-occurrence graph the pushes stay within 1.25x of the reference's,
+    which pushes each vertex once, and the stats count every push."""
+    g = synth_graph(SynthConfig(n=400, avg_deg=10.0, timestamps_per_edge=8,
+                                horizon=1000, seed=1))
+    reference, counted = [0], [0]
+    monkeypatch.setattr(tests.oracle, "propagate", counted_propagate(reference))
+    monkeypatch.setattr(tpcore.local, "propagate", counted_propagate(counted))
+    pushes = repushes = 0
+    for q in stratified_queries(g, 12):
+        ctx = QueryContext.single(q)
+        reference_expand(g, ctx)
+        stats = local_search(g, ctx).stats
+        pushes += stats["pushes"]
+        repushes += stats["repushes"]
+    assert pushes == counted[0]
+    assert 0 < repushes < pushes <= 1.25 * reference[0], (pushes, reference[0])
+
+
 # ---- degree bounds -----------------------------------------------------------------
 
 def test_bounds_after_first_push(chain3):
@@ -156,11 +245,15 @@ def test_bounds_collapse_when_drained(chain3):
 
 
 def test_sandwich_on_random_graphs():
-    """Bounds bracket the exact degree at every expansion step (fp noise aside)."""
+    """Bounds bracket the exact degree at every expansion step (fp noise aside),
+    for single queries and for query sets on tie-heavy horizons."""
     rng = random.Random(4)
-    for _ in range(30):
-        g = random_temporal_graph(rng, n_max=18, m_max=60, t_max=15)
-        ctx = QueryContext.single(rng.randrange(g.n))
+    cases = [(g, QueryContext.single(rng.randrange(g.n)))
+             for g in (random_temporal_graph(rng, n_max=18, m_max=60, t_max=15)
+                       for _ in range(30))]
+    cases += query_set_contexts(rng, 30, n_max=18, m_max=60)
+    repushes = 0
+    for g, ctx in cases:
         exact = power_iteration_pagerank(g, ctx)
         rho = [proximity_degree(exact, g, range(g.n), u) for u in range(g.n)]
 
@@ -170,7 +263,8 @@ def test_sandwich_on_random_graphs():
                 assert lo <= rho[u] + 1e-9
                 assert rho[u] <= hi + 1e-9
 
-        expand(g, ctx, inspect=check)
+        repushes += expand(g, ctx, inspect=check)[1].repushes
+    assert repushes > 0  # the checks saw re-pushed mass
 
 
 # ---- reducing stage ------------------------------------------------------------------
