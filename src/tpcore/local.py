@@ -58,7 +58,9 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     residue-threshold push of Andersen, Chung & Lang, 2006).  A neighbor enters
     the frontier only if its degree upper bound (settled mass around it plus
     all pending residue, which the re-push lowers) can still reach the best
-    minimum-degree estimate seen so far; when the whole frontier falls below
+    minimum-degree estimate seen so far; for a query set the estimate counts
+    only once the expanded set joins every query, since before that it bounds
+    no community that holds them all.  When the whole frontier falls below
     that estimate it is merged in and expansion stops.  The state records the
     pushes made and the re-pushes among them.  ``inspect`` (tests) is called
     after every pop and its re-push with the push state, expanded list,
@@ -104,6 +106,18 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             if w in in_expanded:
                 rho_hat[w] += delta
 
+    # the estimate bounds the optimum only once the expanded set joins every
+    # query; until then each expanded vertex records the query whose search
+    # tree it grew in, and trees meeting along an edge are merged
+    tree = {q: i for i, q in enumerate(queries)}
+    merged = list(range(len(queries)))
+    trees_left = len(queries)
+
+    def root(i: int) -> int:
+        while merged[i] != i:
+            i = merged[i]
+        return i
+
     beta_hat = 0.0
     credit = 0
     repushes = 0
@@ -125,6 +139,14 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 val += lower[v]
         rho_hat[u] = val
         heapq.heappush(rho_heap, (val, u))
+        if trees_left > 1:
+            mine = root(tree[u])
+            for v in row:
+                if v in in_expanded:
+                    other = root(tree[v])
+                    if other != mine:
+                        merged[other] = mine
+                        trees_left -= 1
         propagate(state, inc_states[u], graph, on_lower, force=u in query_set)
         # re-push stranded mass, paid for by the reads made so far
         while fed_heap and credit > 0:
@@ -139,7 +161,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         while current_min != rho_hat[v]:
             heapq.heapreplace(rho_heap, (rho_hat[v], v))
             current_min, v = rho_heap[0]
-        if current_min > beta_hat:
+        if current_min > beta_hat and trees_left == 1:
             beta_hat = current_min
         for v in row:
             if v in visited:
@@ -153,6 +175,8 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 frontier.append(v)
                 queued.add(v)
                 frontier_sum += lower[v]
+                if trees_left > 1:
+                    tree[v] = tree[u]
         if frontier:
             pending = state.residue_total + frontier_sum
             if pending < beta_hat - BOUND_SLACK:

@@ -132,9 +132,11 @@ def test_expand_estimate_monotone():
 
 def test_expansion_covers_exact_community():
     rng = random.Random(13)
-    for _ in range(30):
-        g = random_temporal_graph(rng, n_max=25, m_max=90, t_max=20)
-        ctx = QueryContext.single(rng.randrange(g.n))
+    cases = [(g, QueryContext.single(rng.randrange(g.n)))
+             for g in (random_temporal_graph(rng, n_max=25, m_max=90, t_max=20)
+                       for _ in range(30))]
+    cases += query_set_contexts(rng, 60, n_max=25, m_max=90)
+    for g, ctx in cases:
         expanded, _ = expand(g, ctx)
         exact = exact_community(g, ctx)
         assert exact.members <= set(expanded)
@@ -439,6 +441,20 @@ def test_drained_push_matches_query_set_scores():
         _, state = drained_state(g, ctx)
         assert np.abs(np.array(state.lower) - stop_dict_pagerank(g, ctx)).max() <= 1e-12
         checked += 1
+
+
+def test_query_set_estimate_waits_for_the_queries_to_join():
+    """Path b-a-x-y-z-c, queries (a, b, c).  Before the expansion reaches c,
+    the expanded set holds no community with every query, so its minimum
+    degree bounds nothing; pruning by it left c out of the answer."""
+    g = TemporalGraph.from_triples([("a", "b", 1), ("x", "a", 1), ("z", "y", 1),
+                                    ("y", "x", 2), ("c", "z", 2)])
+    ctx = QueryContext((g.index["a"], g.index["b"], g.index["c"]))
+    approx = local_search(g, ctx)
+    exact = exact_community(g, ctx)
+    assert set(ctx.queries) <= approx.members
+    assert exact.members <= approx.explored
+    assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
 
 
 def test_query_set_certificate_on_path():
