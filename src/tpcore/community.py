@@ -40,7 +40,7 @@ def proximity_degree(scores, graph: TemporalGraph, space, u: int) -> float:
     Exactly-rounded summation: equal score multisets give equal sums however
     they were reached, which brute force's tie union and ``md`` rely on.
     """
-    vals = scores.values if isinstance(scores, ScoreVector) else scores
+    vals = scores.per_vertex if isinstance(scores, ScoreVector) else scores
     return math.fsum(vals[v] for v in graph.adj[u] if v in space)
 
 
@@ -126,7 +126,7 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
-    values = scores.values.tolist()
+    values = scores.per_vertex
     adj = graph.adj
     qset = set(queries)
     missing = len(qset) - 1
@@ -175,7 +175,7 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
-    values = scores.values
+    values = scores.per_vertex
     n = graph.n
     qmask = 0
     for q in ctx.queries:
@@ -239,7 +239,7 @@ def kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> Community
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
-    values = scores.values.tolist()
+    values = scores.per_vertex
     adj = graph.adj
     deg = [len(nbrs) for nbrs in adj]
     alive = [True] * graph.n

@@ -13,22 +13,30 @@ From a state the walk may continue along any out-state leaving its arrival
 vertex at a strictly later time; a state with no such continuation is
 dangling and is modelled with a probability-1 self-loop.
 
-The layout is built with numpy and stored as Python lists, because the
-algorithms loop over it one element at a time.
+The layout is built with the standard library and stored as Python lists,
+because the algorithms loop over it one element at a time.  Every pass over
+the stream after the per-line checks runs at C level (``map``, ``zip``, slice
+assignment, ``array``).  The ints of the ``inc_states`` and ``inc_times`` rows
+are made afresh, in row order, by ``array.tolist``, so that a row's int
+objects sit next to each other in memory as the loops read them.
 """
 from __future__ import annotations
 
 import gc
-import io
 import math
+from array import array
 from bisect import bisect_right
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from .errors import EmptyGraph, MalformedLine, QueryNotInSet
+
+# the largest timestamp: rows hold them as signed 64-bit ints
+_T_MAX = 2**63 - 1
 
 
 @dataclass
@@ -56,9 +64,72 @@ def _collector_paused():
             gc.enable()
 
 
+def _interleave(even: Sequence, odd: Sequence) -> list:
+    """[even[0], odd[0], even[1], odd[1], ...]: one entry per out-state."""
+    out = [None] * (len(even) + len(odd))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def _fresh(ints: Iterable[int]) -> list[int]:
+    """``ints`` as new int objects made in order, so that a row sliced from the
+    result holds its ints next to each other in memory.  Going through a list
+    first lets the array size itself once."""
+    return array("q", list(ints)).tolist()
+
+
 def _split(flat: list, cuts: list[int]) -> list[list]:
     """Cut ``flat`` into consecutive slices ending at the cumulative ``cuts``."""
     return [flat[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
+
+
+def _bucket(rows: list[list[int]] | defaultdict[str, list[int]], ends: list) -> None:
+    """Append each out-state s to ``rows[ends[s]]``, in stream order.
+
+    ``rows`` is a list of n empty lists when ``ends`` holds vertex ids, or a
+    ``defaultdict(list)`` when it holds labels, whose keys then come out
+    ordered by first appearance.
+    """
+    deque(map(list.append, map(rows.__getitem__, ends), range(len(ends))), maxlen=0)
+
+
+def _clean(records: Iterable[Sequence], report: LoadReport) -> list[tuple[str, str, int]]:
+    """Check and clean "u v t" records in one pass.
+
+    ``records`` holds one field sequence per line (``str.split`` of a line, or
+    a triple); an empty record or one whose first field starts with '#' is a
+    blank line or a comment and is skipped.  Raises MalformedLine, numbering
+    the records from 1 and quoting the fields joined by single spaces, on a
+    record without exactly three fields or whose timestamp is not an integer
+    in [0, 2**63 - 1].  Self-loops and duplicates (equal up to endpoint order;
+    the first copy is kept) are dropped and counted in ``report``.  Returns
+    the kept triples in input order.
+    """
+    kept: dict[tuple[str, str, int], tuple[str, str, int]] = {}
+    line_no = skipped = self_loops = 0
+    for line_no, fields in enumerate(records, start=1):
+        if not fields or fields[0][:1] == "#":
+            skipped += 1
+            continue
+        try:
+            u, v, t = fields
+            t = int(t)
+        except ValueError:
+            reason = ("expected 3 whitespace-separated fields" if len(fields) != 3
+                      else "timestamp is not an integer")
+            raise MalformedLine(line_no, " ".join(map(str, fields)), reason) from None
+        if not 0 <= t <= _T_MAX:
+            reason = "timestamp is negative" if t < 0 else "timestamp exceeds the 64-bit range"
+            raise MalformedLine(line_no, " ".join(map(str, fields)), reason)
+        if u == v:
+            self_loops += 1
+            continue
+        edge = (u, v, t)
+        kept.setdefault(edge if u < v else (v, u, t), edge)
+    report.self_loops = self_loops
+    report.duplicates = line_no - skipped - self_loops - len(kept)
+    return list(kept.values())
 
 
 class TemporalGraph:
@@ -69,65 +140,76 @@ class TemporalGraph:
     so the instance is safe to share across concurrent queries.
     """
 
-    def __init__(self, labels: Sequence[str], edges: Sequence[tuple[int, int, int]],
+    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int, int]],
                  report: LoadReport | None = None):
+        """The graph on vertices ``labels`` (vertex i is ``labels[i]``) whose
+        edge stream is ``edges``, (u, v, t) over vertex ids sorted by t."""
         self.labels: list[str] = list(labels)
-        self.index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
-        self.n = n = len(self.labels)
-        self.m = len(edges)
-        self.edge_list: list[tuple[int, int, int]] = list(edges)
+        self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
         self.report = report or LoadReport()
+        cols = list(chain.from_iterable(edges))  # u0, v0, t0, u1, ...
+        ends = _interleave(cols[0::3], cols[1::3])
+        rows: list[list[int]] = [[] for _ in self.labels]
+        _bucket(rows, ends)
+        self._lay_out(rows, ends, cols[2::3])
 
-        cols = np.array(self.edge_list, dtype=np.int64).reshape(self.m, 3)
-        ends = cols[:, :2].ravel()  # ends[s]: the vertex out-state s leaves
-        # a stable sort groups the states by that vertex, each group in stream order
-        order = np.argsort(ends, kind="stable")
-        grouped = ends[order]
-        times = cols[order >> 1, 2]
-        cuts = np.bincount(ends, minlength=n).cumsum().tolist()
-        self.inc_states: list[list[int]] = _split(order.tolist(), cuts)
-        self.inc_times: list[list[int]] = _split(times.tolist(), cuts)
-        pairs = np.unique(ends * n + cols[:, 1::-1].ravel())
-        self.adj: list[list[int]] = _split(
-            (pairs % n).tolist(), np.bincount(pairs // n, minlength=n).cumsum().tolist())
-        self.m_static = len(pairs) // 2
-        fresh = np.ones(len(grouped), dtype=bool)
-        fresh[1:] = (grouped[1:] != grouped[:-1]) | (times[1:] != times[:-1])
-        self.occurrence = np.bincount(grouped[fresh], minlength=n)
-        self.t_max_occurrence = int(self.occurrence.max()) if n else 0
+    def _lay_out(self, rows: list[list[int]], ends: list[int], times: list[int]) -> None:
+        """Set the stream and every per-vertex field from the stream's columns.
+
+        Out-state s leaves vertex ``ends[s]`` at ``times[s >> 1]``, and
+        ``rows[u]`` lists the out-states leaving u in stream order.
+        """
+        self.n = len(self.labels)
+        self.edge_list: list[tuple[int, int, int]] = list(zip(ends[0::2], ends[1::2], times))
+        self.m = len(self.edge_list)
+        cuts = list(accumulate(map(len, rows)))
+        order = _fresh(chain.from_iterable(rows))
+        self.inc_states: list[list[int]] = _split(order, cuts)
+        stamps = _interleave(times, times)
+        self.inc_times: list[list[int]] = _split(_fresh(map(stamps.__getitem__, order)), cuts)
+        others = _interleave(ends[1::2], ends[0::2])  # the vertex out-state s arrives at
+        self.adj: list[list[int]] = list(map(sorted, map(set, _split(
+            list(map(others.__getitem__, order)), cuts))))
+        self.m_static = sum(map(len, self.adj)) // 2
+        self.occurrence: list[int] = list(map(len, map(set, self.inc_times)))
+        self.t_max_occurrence = max(self.occurrence, default=0)
         self._denom: dict[tuple[int, int], float] = {}
 
     # ---- construction ----------------------------------------------------
 
     @classmethod
     @_collector_paused()
-    def from_triples(cls, triples: Iterable[tuple[str, str, int]]) -> "TemporalGraph":
+    def from_triples(cls, triples: Iterable[Sequence]) -> "TemporalGraph":
         """Build a graph from (u_label, v_label, t) triples.
 
-        Self-loops and exact duplicates (up to endpoint order) are dropped and
-        counted; the stream is sorted stably by timestamp; dense vertex ids are
-        assigned by first appearance in the sorted stream.
+        The triples pass the same checks as the lines of a file (see
+        ``parse_edge_stream``), so a triple whose first label starts with '#'
+        is skipped like a comment.  Self-loops and exact duplicates (up to
+        endpoint order) are dropped and counted.
         """
         report = LoadReport()
-        seen: set[tuple[str, str, int]] = set()
-        cleaned: list[tuple[str, str, int]] = []
-        for u, v, t in triples:
-            if u == v:
-                report.self_loops += 1
-                continue
-            key = (u, v, t) if u <= v else (v, u, t)
-            if key in seen:
-                report.duplicates += 1
-                continue
-            seen.add(key)
-            cleaned.append((u, v, t))
+        return cls._numbered(_clean(triples, report), report)
+
+    @classmethod
+    def _numbered(cls, cleaned: list[tuple[str, str, int]],
+                  report: LoadReport) -> "TemporalGraph":
+        """The graph of cleaned label triples: the stream sorted stably by
+        timestamp, the vertices numbered by first appearance in it."""
         if not cleaned:
             raise EmptyGraph("no temporal edges after cleaning")
-        cleaned.sort(key=lambda e: e[2])  # stable: input order preserved within a timestamp
-        index: dict[str, int] = {}
-        edges = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)), t)
-                 for u, v, t in cleaned]
-        return cls(list(index), edges, report)
+        cleaned.sort(key=itemgetter(2))  # stable: input order preserved within a timestamp
+        cols = list(chain.from_iterable(cleaned))
+        ends = _interleave(cols[0::3], cols[1::3])
+        # bucketing by label numbers the labels in the same pass
+        rows: defaultdict[str, list[int]] = defaultdict(list)
+        _bucket(rows, ends)
+        graph = cls.__new__(cls)
+        graph.labels = list(rows)
+        graph.index = dict(zip(graph.labels, range(len(graph.labels))))
+        graph.report = report
+        graph._lay_out(list(rows.values()), list(map(graph.index.__getitem__, ends)),
+                       cols[2::3])
+        return graph
 
     # ---- transitions -----------------------------------------------------
 
@@ -155,7 +237,7 @@ class TemporalGraph:
 
     def temporal_occurrence(self, u: int) -> int:
         """Number of distinct timestamps among edges incident to u."""
-        return int(self.occurrence[u])
+        return self.occurrence[u]
 
     def connected_component(self, subset: Iterable[int], q: int) -> set[int]:
         """Vertex set of the component of the induced de-temporal subgraph containing q."""
@@ -261,24 +343,8 @@ def parse_edge_stream(source: TextIO | Iterable[str]) -> TemporalGraph:
     sorted.  Raises MalformedLine (with line number) on bad records and
     EmptyGraph when nothing survives cleaning.
     """
-    triples: list[tuple[str, str, int]] = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise MalformedLine(line_no, line, "expected 3 whitespace-separated fields")
-        try:
-            t = int(parts[2])
-        except ValueError:
-            raise MalformedLine(line_no, line, "timestamp is not an integer") from None
-        if t < 0:
-            raise MalformedLine(line_no, line, "timestamp is negative")
-        if t > 2**63 - 1:
-            raise MalformedLine(line_no, line, "timestamp exceeds the 64-bit range")
-        triples.append((parts[0], parts[1], t))
-    return TemporalGraph.from_triples(triples)
+    report = LoadReport()
+    return TemporalGraph._numbered(_clean(map(str.split, source), report), report)
 
 
 def load_edge_stream(path: str) -> TemporalGraph:
@@ -306,14 +372,3 @@ def load_edge_stream(path: str) -> TemporalGraph:
 def format_edge_stream(triples: Iterable[tuple[str, str, int]]) -> str:
     """The "u v t" lines of ``triples``, in the given order."""
     return "".join(f"{u} {v} {t}\n" for u, v, t in triples)
-
-
-def dump_edge_stream(graph: TemporalGraph, sink: TextIO) -> None:
-    """Write the graph back out in stream (time-sorted) order."""
-    sink.write(format_edge_stream(graph.triple(e) for e in range(graph.m)))
-
-
-def dumps_edge_stream(graph: TemporalGraph) -> str:
-    buf = io.StringIO()
-    dump_edge_stream(graph, buf)
-    return buf.getvalue()

@@ -226,10 +226,14 @@ class ApproxResult:
                 "pushes": self.pushes, "repushes": self.repushes}
 
 
-def _fresh_degrees(graph: TemporalGraph, lower: list[float], members) -> dict[int, float]:
-    space = members if isinstance(members, (set, frozenset)) else set(members)
+def _fresh_degrees(graph: TemporalGraph, lower: list[float], members,
+                   space: set[int] | frozenset[int] | None = None) -> dict[int, float]:
+    """Lower-bound degree of each vertex of ``members`` inside ``space``
+    (default: inside ``members``), summed afresh."""
+    if space is None:
+        space = members if isinstance(members, (set, frozenset)) else set(members)
     out: dict[int, float] = {}
-    for u in space:
+    for u in members:
         total = 0.0
         for v in graph.adj[u]:
             if v in space:
@@ -249,7 +253,8 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     vertex; that round is discarded, and so is every round from the first
     that splits the query set, found from the removal log by one union-find
     replay.  Zero-degree vertices can never survive any finite level, so they
-    are cleared in one unrecorded preliminary round.
+    are cleared in unrecorded preliminary rounds, repeated while a fresh
+    degree is still 0.
     """
     queries = ctx.queries
     qset = set(queries)
@@ -306,7 +311,7 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
         return doomed, False
 
     # vertices with zero lower-bound degree cannot survive any finite level;
-    # clear them in an unrecorded preliminary round
+    # clear them in unrecorded preliminary rounds
     while min(rho.values()) <= 0.0:
         doomed, query_fell = run_round(None)
         blocked = query_fell or (len(queries) > 1
@@ -315,11 +320,19 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
             members -= doomed
             for u in doomed:
                 del rho[u]
-            break
+            # live decrements can leave float drift (about 1e-17) where a
+            # degree fell to 0; a fresh sum of non-negative terms is 0 exactly
+            # then, so recompute the degrees the round touched and repeat the
+            # round while a zero remains
+            touched = {v for u in doomed for v in graph.adj[u] if v in members}
+            rho.update(_fresh_degrees(graph, lower, touched, members))
+            continue
         if state.residue_total > 0.0:
             # the bounds may just be starved below the push gate: settle all
-            # mass and retry the zero level with exact degrees
+            # mass and retry the zero level with exact degrees, from the whole
+            # explored set, since earlier rounds pruned on the starved bounds
             drain(state, graph)
+            members = set(explored)
             rho = _fresh_degrees(graph, lower, members)
             temp = max(rho.values())
             continue

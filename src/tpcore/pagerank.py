@@ -14,11 +14,11 @@ transition matrix stays independent for testing.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .errors import NoQueryActivity, NotConverged
 from .graph import TemporalGraph
@@ -52,17 +52,24 @@ class ScoreVector:
     """Per-vertex proximity scores for a fixed query context.
 
     Scores are non-negative and sum to 1 whenever every query vertex has
-    incident temporal edges.
+    incident temporal edges.  ``per_vertex`` is the list the searches read;
+    ``values`` is a numpy copy of it for callers that want an array, made on
+    each access, so that numpy is imported only when one is asked for.
     """
 
-    values: np.ndarray
+    per_vertex: list[float]
     ctx: QueryContext
 
+    @property
+    def values(self):
+        import numpy as np
+        return np.array(self.per_vertex)
+
     def __getitem__(self, u: int) -> float:
-        return float(self.values[u])
+        return self.per_vertex[u]
 
     def total(self) -> float:
-        return float(self.values.sum())
+        return math.fsum(self.per_vertex)
 
 
 def _require_activity(graph: TemporalGraph, queries: tuple[int, ...]) -> None:
@@ -159,9 +166,11 @@ def drain(state: PushState, graph: TemporalGraph) -> None:
 
     Walk continuations strictly increase the timestamp and state ids follow
     the time-sorted stream, so pushing every state in id order empties every
-    residue in a single pass.
+    residue in a single pass.  ``compress`` skips the states holding no mass
+    at C speed; it reads each residue only when it reaches that state, after
+    every earlier state has pushed into it.
     """
-    propagate(state, range(2 * graph.m), graph, force=True)
+    propagate(state, compress(range(2 * graph.m), state.residue), graph, force=True)
     state.residue_total = 0.0
 
 
@@ -174,7 +183,7 @@ def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
     """
     state = seed_state(graph, ctx)
     drain(state, graph)
-    return ScoreVector(np.array(state.lower), ctx)
+    return ScoreVector(state.lower, ctx)
 
 
 # the same function under the name perfbench/run.py calls
@@ -190,6 +199,8 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     sums per vertex over incoming states.  Memory is quadratic in m; use at
     test scale only.
     """
+    import numpy as np
+
     _require_activity(graph, ctx.queries)
     n_states = 2 * graph.m
     P = np.zeros((n_states, n_states))
@@ -224,4 +235,4 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     values = np.zeros(graph.n)
     for s, (tail, _) in enumerate(arrivals):
         values[tail] += x[s]
-    return ScoreVector(values, ctx)
+    return ScoreVector(values.tolist(), ctx)

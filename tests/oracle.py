@@ -1,7 +1,8 @@
 """Reference views of a temporal graph, kept for tests.
 
 Everything here is computed from ``edge_list`` alone, one edge at a time, so
-tests can check the library's numpy-built layout and its metrics against it.
+tests can check the library's layout, built by whole-stream passes, and its
+metrics against it.
 Out-state 2e of edge e = (u, v, t) runs from head u to tail v; 2e+1 runs
 back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
@@ -149,7 +150,7 @@ def library_layout(g: TemporalGraph) -> dict:
         "inc_times": g.inc_times,
         "inc_states": g.inc_states,
         "adj": g.adj,
-        "occurrence": [int(c) for c in g.occurrence],
+        "occurrence": g.occurrence,
         "m_static": g.m_static,
     }
 

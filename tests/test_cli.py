@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tpcore
 from tpcore.cli import BENCH_HEADER, main
 
 TRI_TEXT = "q a 1\nq b 1\na b 2\n"
@@ -86,6 +91,29 @@ def run(capsys, argv):
 
 
 # ---- query -----------------------------------------------------------------------
+
+# run in a fresh interpreter, since this one has numpy loaded already
+NO_NUMPY_QUERY = """
+import sys
+import tpcore.cli
+assert "numpy" not in sys.modules, "importing tpcore.cli imported numpy"
+code = tpcore.cli.main(["query", "--graph", sys.argv[1], "--q", "q", "--alg", sys.argv[2],
+                        "--json"])
+assert "numpy" not in sys.modules, "the query imported numpy"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("alg", ["egr", "als"])
+def test_query_never_imports_numpy(tri_file, alg):
+    src = str(Path(tpcore.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_QUERY, tri_file, alg],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["community"] == ["a", "b", "q"]
+
 
 def test_query_egr_json(capsys, tri_file):
     code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",

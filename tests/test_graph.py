@@ -6,10 +6,22 @@ import pytest
 from hypothesis import given
 
 from tpcore import (EmptyGraph, MalformedLine, QueryNotInSet, TemporalGraph,
-                    dumps_edge_stream, load_edge_stream, parse_edge_stream)
+                    load_edge_stream, parse_edge_stream)
+from tpcore.graph import format_edge_stream
 from tests import oracle
 from tests.conftest import CountedReads, graph_strategy, random_temporal_graph
 from tests.oracle import OrderedEdge
+
+
+def dump_edge_stream(graph, sink):
+    """Write the graph back out in stream (time-sorted) order."""
+    sink.write(format_edge_stream(graph.triple(e) for e in range(graph.m)))
+
+
+def dumps_edge_stream(graph):
+    buf = io.StringIO()
+    dump_edge_stream(graph, buf)
+    return buf.getvalue()
 
 
 def edge(graph, u_lab, v_lab, t):
@@ -75,6 +87,23 @@ def test_unsorted_input_is_sorted():
     g = parse_edge_stream(["a b 5", "q a 1"])
     assert [t for _, _, t in g.edge_list] == [1, 5]
 
+
+
+def test_labels_numbered_by_first_appearance_in_the_sorted_stream():
+    g = parse_edge_stream(["c d 5", "b c 1", "a b 1"])
+    assert g.labels == ["b", "c", "a", "d"]
+    assert g.edge_list == [(0, 1, 1), (2, 0, 1), (1, 3, 5)]
+
+
+def test_triples_pass_the_line_checks():
+    with pytest.raises(MalformedLine) as exc:
+        TemporalGraph.from_triples([("q", "a", 1), ("q", "b", -1)])
+    assert exc.value.line_no == 2
+    with pytest.raises(MalformedLine):
+        TemporalGraph.from_triples([("q", "a")])
+    g = TemporalGraph.from_triples([("q", "a", "3"), ("a", "q", 3), ("b", "b", 1)])
+    assert g.edge_list == [(0, 1, 3)]
+    assert (g.report.duplicates, g.report.self_loops) == (1, 1)
 
 def test_round_trip_identical():
     g = parse_edge_stream(["b c 7", "a b 5", "q a 1", "q c 5"])

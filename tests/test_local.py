@@ -384,6 +384,32 @@ def test_guarantee_on_random_graphs():
             assert exact.beta == 0.0
 
 
+
+# Graphs on which the zero-level rounds of reduce_stage certified a false
+# ratio: their live decrements left about 1e-17 where a degree fell to 0, and
+# the drained retry kept only the members that rounds on starved bounds had
+# left, so the fallback came back with beta_lower 0 and epsilon about 1.8e16
+# while the exact optimum is positive.
+ZERO_LEVEL_DRIFT = [
+    (0.2, "v7", [("v5", "v3", 2), ("v2", "v7", 2), ("v7", "v5", 2), ("v0", "v7", 3),
+                 ("v0", "v4", 1), ("v1", "v0", 2), ("v5", "v7", 1), ("v2", "v1", 1)]),
+    (0.9, "v5", [("v7", "v1", 2), ("v5", "v1", 1), ("v1", "v5", 2), ("v7", "v1", 1),
+                 ("v4", "v0", 2), ("v5", "v4", 1), ("v0", "v1", 1), ("v1", "v5", 1),
+                 ("v7", "v4", 1), ("v4", "v5", 1), ("v5", "v1", 2), ("v3", "v4", 2),
+                 ("v2", "v7", 2), ("v0", "v7", 2)]),
+]
+
+
+@pytest.mark.parametrize("alpha, q, triples", ZERO_LEVEL_DRIFT)
+def test_certificate_holds_after_zero_level_drift(alpha, q, triples):
+    g = TemporalGraph.from_triples(triples)
+    ctx = QueryContext.single(g.index[q], alpha)
+    approx = local_search(g, ctx)
+    exact = exact_community(g, ctx)
+    assert exact.beta > 0.0
+    assert approx.beta_lower > 0.0
+    assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
+
 # ---- multiple query vertices -------------------------------------------------------------
 
 def test_multi_singleton_identical(tri):

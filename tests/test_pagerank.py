@@ -114,6 +114,15 @@ def test_scores_at_the_timestamp_limit():
             assert got.total() == pytest.approx(1.0, abs=mass_tol)
 
 
+
+def test_values_array_equals_the_score_list(tri):
+    scores = temporal_pagerank(tri, ctx_for(tri))
+    assert isinstance(scores.per_vertex, list)
+    assert isinstance(scores.values, np.ndarray)
+    assert scores.values.dtype == np.float64
+    assert scores.values.tolist() == scores.per_vertex
+    assert [scores[u] for u in range(tri.n)] == scores.per_vertex
+
 # ---- multiple query vertices ----------------------------------------------------
 
 def test_multi_singleton_bit_identical(tri):
