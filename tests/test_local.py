@@ -384,7 +384,6 @@ def test_guarantee_on_random_graphs():
             assert exact.beta == 0.0
 
 
-
 # Graphs on which the zero-level rounds of reduce_stage certified a false
 # ratio: their live decrements left about 1e-17 where a degree fell to 0, and
 # the drained retry kept only the members that rounds on starved bounds had
