@@ -4,9 +4,10 @@
 For every workload that BENCHMARK.json declares, runs perfbench/run.py at
 seed 1 for 10 seconds, once with --trace 0 (the end-to-end metrics) and once
 with --trace 1 (the per-layer metrics), and keeps the last line of each run's
-output, its JSON result.  The file also records the commit, os.cpu_count()
-and the Python version.  Seed and run length are fixed so that every snapshot
-can be compared with the others.
+output, its JSON result.  The file also records the commit, os.cpu_count(),
+the Python version and the line counts of src/tpcore/*.py (per module and in
+total, as ``wc -l`` counts them).  Seed and run length are fixed so that every
+snapshot can be compared with the others.
 
     python3 scripts/bench_record.py <label>
 """
@@ -31,6 +32,13 @@ def last_json_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def src_lines() -> dict:
+    """Newline counts of the package's modules, by file name, and their total."""
+    modules = {path.name: path.read_bytes().count(b"\n")
+               for path in sorted((ROOT / "src" / "tpcore").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def assemble(label: str, commit: str, runs: dict[str, dict[str, dict]]) -> dict:
     """The BENCH_<label>.json record: ``runs[workload]["trace0" | "trace1"]``
     holds each run's result line."""
@@ -41,6 +49,7 @@ def assemble(label: str, commit: str, runs: dict[str, dict[str, dict]]) -> dict:
         "python": platform.python_version(),
         "seed": SEED,
         "seconds": SECONDS,
+        "src_lines": src_lines(),
         "workloads": runs,
     }
 

@@ -4,8 +4,8 @@ from .community import (CommunityResult, brute_force_search, exact_community,
                         exact_community_multi, kcore_baseline,
                         min_proximity_degree, proximity_degree)
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
-                     NoQueryActivity, NotConverged, QueriesDisconnected,
-                     QueryNotInSet, TooLarge, UnknownLabel)
+                     NotConverged, QueriesDisconnected, QueryNotInSet, TooLarge,
+                     UnknownLabel)
 from .graph import TemporalGraph, load_edge_stream, parse_edge_stream
 from .local import (ApproxResult, degree_bounds, expand, local_search,
                     local_search_multi, reduce_stage)
@@ -18,7 +18,7 @@ from .synth import SynthConfig, synth_graph, synth_triples
 
 __all__ = [
     "ApproxResult", "CommunityResult", "CommunitySearchError", "EmptyGraph",
-    "MalformedLine", "MetricReport", "NoCore", "NoQueryActivity", "NotConverged",
+    "MalformedLine", "MetricReport", "NoCore", "NotConverged",
     "PushState", "QueriesDisconnected", "QueryContext",
     "QueryNotInSet", "ScoreVector", "SynthConfig", "TemporalGraph",
     "TooLarge", "UnknownLabel", "brute_force_search",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 malformed input or invalid parameters, 3 unknown
 query label, 4 algorithm-level errors (NoCore, QueriesDisconnected,
-NoQueryActivity, ...).  JSON responses keep a stable key set; text mode
-reports the same numbers.
+TooLarge, ...).  JSON responses keep a stable key set; text mode reports the
+same numbers.
 """
 from __future__ import annotations
 

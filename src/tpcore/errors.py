@@ -23,14 +23,6 @@ class QueryNotInSet(CommunitySearchError):
     """The query vertex is outside the vertex set being searched."""
 
 
-class NoQueryActivity(CommunitySearchError):
-    """A query vertex has no incident temporal edges."""
-
-    def __init__(self, label: str):
-        super().__init__(f"query vertex {label!r} has no incident temporal edges")
-        self.label = label
-
-
 class NotConverged(CommunitySearchError):
     """Power iteration hit the iteration cap before reaching tolerance."""
 

@@ -13,6 +13,12 @@ From a state the walk may continue along any out-state leaving its arrival
 vertex at a strictly later time; a state with no such continuation is
 dangling and is modelled with a probability-1 self-loop.
 
+``TemporalGraph(records)`` is the one way to build a graph: it checks and
+cleans "u v t" records (lines split on whitespace, or label triples), sorts
+the kept edges stably by time and numbers the vertices by first appearance in
+the sorted stream.  So the stream is always sorted and every vertex has at
+least one out-state.
+
 The layout is built with the standard library and stored as Python lists,
 because the algorithms loop over it one element at a time.  Every pass over
 the stream after the per-line checks runs at C level (``map``, ``zip``, slice
@@ -84,16 +90,6 @@ def _split(flat: list, cuts: list[int]) -> list[list]:
     return [flat[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
 
 
-def _bucket(rows: list[list[int]] | defaultdict[str, list[int]], ends: list) -> None:
-    """Append each out-state s to ``rows[ends[s]]``, in stream order.
-
-    ``rows`` is a list of n empty lists when ``ends`` holds vertex ids, or a
-    ``defaultdict(list)`` when it holds labels, whose keys then come out
-    ordered by first appearance.
-    """
-    deque(map(list.append, map(rows.__getitem__, ends), range(len(ends))), maxlen=0)
-
-
 def _clean(records: Iterable[Sequence], report: LoadReport) -> list[tuple[str, str, int]]:
     """Check and clean "u v t" records in one pass.
 
@@ -135,35 +131,42 @@ def _clean(records: Iterable[Sequence], report: LoadReport) -> list[tuple[str, s
 class TemporalGraph:
     """Immutable temporal graph with per-vertex time-sorted incidence.
 
-    Construction is single-threaded; after __init__ the only change is the
-    memo of transition denominators, whose entries never change once written,
-    so the instance is safe to share across concurrent queries.
+    Built from "u v t" records by its one constructor; ``parse_edge_stream``,
+    ``load_edge_stream`` and ``from_triples`` only feed it.  Construction is
+    single-threaded; afterwards the only change is the memo of transition
+    denominators, whose entries never change once written, so the instance is
+    safe to share across concurrent queries.
     """
 
-    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int, int]],
-                 report: LoadReport | None = None):
-        """The graph on vertices ``labels`` (vertex i is ``labels[i]``) whose
-        edge stream is ``edges``, (u, v, t) over vertex ids sorted by t."""
-        self.labels: list[str] = list(labels)
-        self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
-        self.report = report or LoadReport()
-        cols = list(chain.from_iterable(edges))  # u0, v0, t0, u1, ...
-        ends = _interleave(cols[0::3], cols[1::3])
-        rows: list[list[int]] = [[] for _ in self.labels]
-        _bucket(rows, ends)
-        self._lay_out(rows, ends, cols[2::3])
+    @_collector_paused()
+    def __init__(self, records: Iterable[Sequence]):
+        """The graph of "u v t" records: one field sequence per line, as
+        ``str.split`` gives, or a label triple.
 
-    def _lay_out(self, rows: list[list[int]], ends: list[int], times: list[int]) -> None:
-        """Set the stream and every per-vertex field from the stream's columns.
-
-        Out-state s leaves vertex ``ends[s]`` at ``times[s >> 1]``, and
-        ``rows[u]`` lists the out-states leaving u in stream order.
+        ``_clean`` checks and cleans the records (see there), so a triple
+        passes the same checks as a line of a file.  Raises MalformedLine on a
+        bad record and EmptyGraph when nothing survives cleaning.
         """
+        self.report = LoadReport()
+        cleaned = _clean(records, self.report)
+        if not cleaned:
+            raise EmptyGraph("no temporal edges after cleaning")
+        cleaned.sort(key=itemgetter(2))  # stable: input order preserved within a timestamp
+        cols = list(chain.from_iterable(cleaned))  # u0, v0, t0, u1, ...
+        times = cols[2::3]
+        ends = _interleave(cols[0::3], cols[1::3])  # the label out-state s leaves
+        # append each out-state to its label's row in stream order; the keys
+        # come out numbered by first appearance in the same pass
+        rows: defaultdict[str, list[int]] = defaultdict(list)
+        deque(map(list.append, map(rows.__getitem__, ends), range(len(ends))), maxlen=0)
+        self.labels: list[str] = list(rows)
+        self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
+        ends = list(map(self.index.__getitem__, ends))
         self.n = len(self.labels)
         self.edge_list: list[tuple[int, int, int]] = list(zip(ends[0::2], ends[1::2], times))
         self.m = len(self.edge_list)
-        cuts = list(accumulate(map(len, rows)))
-        order = _fresh(chain.from_iterable(rows))
+        cuts = list(accumulate(map(len, rows.values())))
+        order = _fresh(chain.from_iterable(rows.values()))
         self.inc_states: list[list[int]] = _split(order, cuts)
         stamps = _interleave(times, times)
         self.inc_times: list[list[int]] = _split(_fresh(map(stamps.__getitem__, order)), cuts)
@@ -172,44 +175,13 @@ class TemporalGraph:
             list(map(others.__getitem__, order)), cuts))))
         self.m_static = sum(map(len, self.adj)) // 2
         self.occurrence: list[int] = list(map(len, map(set, self.inc_times)))
-        self.t_max_occurrence = max(self.occurrence, default=0)
+        self.t_max_occurrence = max(self.occurrence)
         self._denom: dict[tuple[int, int], float] = {}
 
-    # ---- construction ----------------------------------------------------
-
     @classmethod
-    @_collector_paused()
     def from_triples(cls, triples: Iterable[Sequence]) -> "TemporalGraph":
-        """Build a graph from (u_label, v_label, t) triples.
-
-        The triples pass the same checks as the lines of a file (see
-        ``parse_edge_stream``), so a triple whose first label starts with '#'
-        is skipped like a comment.  Self-loops and exact duplicates (up to
-        endpoint order) are dropped and counted.
-        """
-        report = LoadReport()
-        return cls._numbered(_clean(triples, report), report)
-
-    @classmethod
-    def _numbered(cls, cleaned: list[tuple[str, str, int]],
-                  report: LoadReport) -> "TemporalGraph":
-        """The graph of cleaned label triples: the stream sorted stably by
-        timestamp, the vertices numbered by first appearance in it."""
-        if not cleaned:
-            raise EmptyGraph("no temporal edges after cleaning")
-        cleaned.sort(key=itemgetter(2))  # stable: input order preserved within a timestamp
-        cols = list(chain.from_iterable(cleaned))
-        ends = _interleave(cols[0::3], cols[1::3])
-        # bucketing by label numbers the labels in the same pass
-        rows: defaultdict[str, list[int]] = defaultdict(list)
-        _bucket(rows, ends)
-        graph = cls.__new__(cls)
-        graph.labels = list(rows)
-        graph.index = dict(zip(graph.labels, range(len(graph.labels))))
-        graph.report = report
-        graph._lay_out(list(rows.values()), list(map(graph.index.__getitem__, ends)),
-                       cols[2::3])
-        return graph
+        """The graph of (u_label, v_label, t) triples; see the constructor."""
+        return cls(triples)
 
     # ---- transitions -----------------------------------------------------
 
@@ -341,10 +313,10 @@ def parse_edge_stream(source: TextIO | Iterable[str]) -> TemporalGraph:
 
     Blank lines and '#'-prefixed comments are ignored.  Input need not be
     sorted.  Raises MalformedLine (with line number) on bad records and
-    EmptyGraph when nothing survives cleaning.
+    EmptyGraph when nothing survives cleaning.  The collector stays paused
+    from the first read of ``source`` on.
     """
-    report = LoadReport()
-    return TemporalGraph._numbered(_clean(map(str.split, source), report), report)
+    return TemporalGraph(map(str.split, source))
 
 
 def load_edge_stream(path: str) -> TemporalGraph:

@@ -246,7 +246,9 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
                  ctx: QueryContext) -> ApproxResult:
     """Peel the expanded set down to a certified approximate community.
 
-    temp upper-bounds the exact optimum.  Rounds run at level eps_bar,
+    temp, the least lower-bound degree of a query over the expanded set plus
+    the pending residue, upper-bounds the exact optimum: every query lies in
+    the optimum, which lies in the expanded set.  Rounds run at level eps_bar,
     cascade-removing every vertex whose lower-bound degree cannot exceed
     temp/eps_bar; a survived round records eps_bar as the certified ratio and
     halves it (never below 1).  Rounds run until one would remove a query
@@ -269,7 +271,7 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
                             pushes=state.pushes, repushes=state.repushes)
 
     rho = _fresh_degrees(graph, lower, members)
-    temp = max(rho.values()) + state.residue_total
+    temp = min(rho[q] for q in queries) + state.residue_total
 
     def answer(kept: set[int], eps: float, fallback: bool,
                trace: Sequence[float] = ()) -> ApproxResult:
@@ -334,7 +336,7 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
             drain(state, graph)
             members = set(explored)
             rho = _fresh_degrees(graph, lower, members)
-            temp = max(rho.values())
+            temp = min(rho[q] for q in queries)
             continue
         # degrees are exact and the queries still cannot outlive the zero
         # level, so no community does better than 0; anything is 1-approximate

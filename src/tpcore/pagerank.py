@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable
 
-from .errors import NoQueryActivity, NotConverged
+from .errors import NotConverged
 from .graph import TemporalGraph
 
 DEFAULT_ALPHA = 0.2
@@ -51,10 +51,10 @@ class QueryContext:
 class ScoreVector:
     """Per-vertex proximity scores for a fixed query context.
 
-    Scores are non-negative and sum to 1 whenever every query vertex has
-    incident temporal edges.  ``per_vertex`` is the list the searches read;
-    ``values`` is a numpy copy of it for callers that want an array, made on
-    each access, so that numpy is imported only when one is asked for.
+    Scores are non-negative and sum to 1.  ``per_vertex`` is the list the
+    searches read; ``values`` is a numpy copy of it for callers that want an
+    array, made on each access, so that numpy is imported only when one is
+    asked for.
     """
 
     per_vertex: list[float]
@@ -70,12 +70,6 @@ class ScoreVector:
 
     def total(self) -> float:
         return math.fsum(self.per_vertex)
-
-
-def _require_activity(graph: TemporalGraph, queries: tuple[int, ...]) -> None:
-    for q in queries:
-        if not graph.inc_times[q]:
-            raise NoQueryActivity(graph.labels[q])
 
 
 @dataclass
@@ -105,7 +99,6 @@ class PushState:
 def seed_state(graph: TemporalGraph, ctx: QueryContext) -> PushState:
     """A push state holding the walk's start: 1/(|S| deg q) on each out-state of every query q."""
     queries = ctx.queries
-    _require_activity(graph, queries)
     state = PushState.fresh(graph, ctx.alpha)
     for q in queries:
         out = graph.inc_states[q]
@@ -201,7 +194,6 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     """
     import numpy as np
 
-    _require_activity(graph, ctx.queries)
     n_states = 2 * graph.m
     P = np.zeros((n_states, n_states))
     arrivals = [graph.arrival(s) for s in range(n_states)]

@@ -292,7 +292,7 @@ def test_reduce_chain3_fallback(chain3):
     expanded, state = drained_state(chain3, ctx)
     res = reduce_stage(expanded, state, chain3, ctx)
     assert labels(chain3, res.members) == ["a", "b", "q"]
-    assert res.epsilon == pytest.approx(4.0, abs=1e-12)
+    assert res.epsilon == pytest.approx(1.0, abs=1e-12)
     assert res.beta_lower == pytest.approx(0.2, abs=1e-12)
     assert res.fallback
 
@@ -307,10 +307,10 @@ def test_reduce_singleton(tri):
 
 
 def test_reduce_keeps_rounds_before_a_middle_split():
-    """Queries a and b meet only through x.  With these lower bounds (temp 8)
-    round 1 (level 8) removes the leaf l, round 2 (level 4) removes x and
-    splits the queries, and round 3 (level 2) would remove a.  The answer is
-    the set after round 1, certified at level 8."""
+    """Queries a and b meet only through x.  With these lower bounds (temp 7,
+    b's degree) round 1 (level 7) removes the leaf l, round 2 (level 3.5)
+    removes x and splits the queries, and round 3 (level 1.75) would remove a.
+    The answer is the set after round 1, certified at level 7."""
     g = TemporalGraph.from_triples([
         ("a", "x", 1), ("x", "b", 1), ("a", "l", 1),
         ("a", "p1", 1), ("a", "p2", 1), ("p1", "p2", 1),
@@ -322,7 +322,7 @@ def test_reduce_keeps_rounds_before_a_middle_split():
         state.lower[g.index[lab]] = w
     res = reduce_stage(list(range(g.n)), state, g, ctx)
     assert labels(g, res.members) == ["a", "b", "p1", "p2", "q1", "q2", "x"]
-    assert (res.epsilon, res.epsilon_trace, res.fallback) == (8.0, (8.0,), False)
+    assert (res.epsilon, res.epsilon_trace, res.fallback) == (7.0, (7.0,), False)
     assert res.beta_lower == 2.0  # x's degree: a + b
     assert not g.co_connected(res.members - {g.index["x"]}, ctx.queries)
 
@@ -364,7 +364,7 @@ def test_local_search_tri(tri):
 def test_local_search_chain3(chain3):
     res = local_search(chain3, ctx_for(chain3))
     assert labels(chain3, res.members) == ["a", "b", "q"]
-    assert res.epsilon == pytest.approx(4.0, abs=1e-12)
+    assert res.epsilon == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guarantee_on_random_graphs():

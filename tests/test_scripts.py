@@ -45,10 +45,15 @@ def test_bench_record_assembles_perfbench_lines():
     assert parsed == line
     record = rec.assemble("x", "abc123", {"low-occ": {"trace0": parsed, "trace1": parsed}})
     assert list(record) == ["label", "commit", "cpu_count", "python", "seed", "seconds",
-                            "workloads"]
+                            "src_lines", "workloads"]
     assert record["commit"] == "abc123" and record["cpu_count"] == os.cpu_count()
     assert record["python"] == platform.python_version()
     assert (record["seed"], record["seconds"]) == (1, 10.0)
+    modules = record["src_lines"]["modules"]
+    assert "graph.py" in modules and "__init__.py" in modules
+    package = ROOT / "src" / "tpcore"
+    assert modules == {p.name: len(p.read_text().splitlines()) for p in package.glob("*.py")}
+    assert record["src_lines"]["total"] == sum(modules.values())
     assert record["workloads"]["low-occ"]["trace0"]["metrics"]["egr_query_s"]["value"] == 0.0116
     assert json.loads(json.dumps(record)) == record
     with pytest.raises(ValueError):
