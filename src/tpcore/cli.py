@@ -177,8 +177,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "m": graph.m,
         "m_static": graph.m_static,
         "t_max_occurrence": graph.t_max_occurrence,
-        "t_min": graph.edge_list[0][2],  # the stream is sorted by time
-        "t_max": graph.edge_list[-1][2],
+        "t_min": graph.state_time[0],  # the stream is sorted by time
+        "t_max": graph.state_time[-1],
         "dropped_duplicates": graph.report.duplicates,
         "dropped_self_loops": graph.report.self_loops,
     }

@@ -2,13 +2,15 @@
 
 A temporal graph is an undirected multigraph whose edges carry integer
 timestamps; (u, v, t1) and (u, v, t2) are distinct edges when t1 != t2.
-``edge_list`` holds the edges as a stream of (u, v, t) sorted non-decreasing
-by timestamp.  The random walk underlying the proximity scores moves over
-*out-states*, the two directed copies of each edge: out-state s belongs to
-edge s >> 1, runs from u to v when s is even and from v to u when s is odd,
-and its reverse is s ^ 1.  So state ids follow the time-sorted stream.  Each
-vertex u keeps, in stream order, ``inc_states[u]``, the out-states leaving u,
-and ``inc_times[u]``, their timestamps; ``adj[u]`` lists its neighbours.
+The edges form a stream of (u, v, t) sorted non-decreasing by timestamp.  The
+random walk underlying the proximity scores moves over *out-states*, the two
+directed copies of each edge: out-state s belongs to edge s >> 1, runs from u
+to v when s is even and from v to u when s is odd, and its reverse is s ^ 1.
+So state ids follow the time-sorted stream.  ``state_tail[s]`` is the vertex
+out-state s arrives at and ``state_time[s]`` its time; the stream's
+``edge_list`` is made from them on first access.  Each vertex u keeps, in
+stream order, ``inc_states[u]``, the out-states leaving u, and
+``inc_times[u]``, their timestamps; ``adj[u]`` lists its neighbours.
 From a state the walk may continue along any out-state leaving its arrival
 vertex at a strictly later time; a state with no such continuation is
 dangling and is modelled with a probability-1 self-loop.
@@ -24,7 +26,8 @@ because the algorithms loop over it one element at a time.  Every pass over
 the stream after the per-line checks runs at C level (``map``, ``zip``, slice
 assignment, ``array``).  The ints of the ``inc_states`` and ``inc_times`` rows
 are made afresh, in row order, by ``array.tolist``, so that a row's int
-objects sit next to each other in memory as the loops read them.
+objects sit next to each other in memory as the loops read them.  Each build
+intermediate is dropped once consumed, which bounds the load's peak memory.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
@@ -133,9 +137,11 @@ class TemporalGraph:
 
     Built from "u v t" records by its one constructor; ``parse_edge_stream``,
     ``load_edge_stream`` and ``from_triples`` only feed it.  Construction is
-    single-threaded; afterwards the only change is the memo of transition
-    denominators, whose entries never change once written, so the instance is
-    safe to share across concurrent queries.
+    single-threaded.  Afterwards only two parts are written lazily: the
+    per-state memo of transition denominators, ``state_denom``, and the cached
+    ``edge_list``.  Every value written there is fixed by the graph, so racing
+    writers write equal values and the instance is safe to share across
+    concurrent queries.
     """
 
     @_collector_paused()
@@ -153,30 +159,37 @@ class TemporalGraph:
             raise EmptyGraph("no temporal edges after cleaning")
         cleaned.sort(key=itemgetter(2))  # stable: input order preserved within a timestamp
         cols = list(chain.from_iterable(cleaned))  # u0, v0, t0, u1, ...
+        del cleaned
         times = cols[2::3]
         ends = _interleave(cols[0::3], cols[1::3])  # the label out-state s leaves
+        del cols
         # append each out-state to its label's row in stream order; the keys
         # come out numbered by first appearance in the same pass
         rows: defaultdict[str, list[int]] = defaultdict(list)
         deque(map(list.append, map(rows.__getitem__, ends), range(len(ends))), maxlen=0)
         self.labels: list[str] = list(rows)
         self.index: dict[str, int] = dict(zip(self.labels, range(len(self.labels))))
-        ends = list(map(self.index.__getitem__, ends))
+        # out-state s arrives where its reverse s ^ 1 leaves
+        self.state_tail: list[int] = list(map(self.index.__getitem__,
+                                              _interleave(ends[1::2], ends[0::2])))
+        del ends
         self.n = len(self.labels)
-        self.edge_list: list[tuple[int, int, int]] = list(zip(ends[0::2], ends[1::2], times))
-        self.m = len(self.edge_list)
+        self.m = len(times)
         cuts = list(accumulate(map(len, rows.values())))
-        order = _fresh(chain.from_iterable(rows.values()))
-        self.inc_states: list[list[int]] = _split(order, cuts)
-        stamps = _interleave(times, times)
-        self.inc_times: list[list[int]] = _split(_fresh(map(stamps.__getitem__, order)), cuts)
-        others = _interleave(ends[1::2], ends[0::2])  # the vertex out-state s arrives at
-        self.adj: list[list[int]] = list(map(sorted, map(set, _split(
-            list(map(others.__getitem__, order)), cuts))))
+        self.inc_states: list[list[int]] = _split(_fresh(chain.from_iterable(rows.values())), cuts)
+        self.state_time: list[int] = _interleave(times, times)  # the time of out-state s
+        del times
+        self.inc_times: list[list[int]] = _split(_fresh(map(
+            self.state_time.__getitem__, chain.from_iterable(rows.values()))), cuts)
+        # freed only now: ints made fresh after its ints go would fill their holes out of order
+        del rows
+        self.adj: list[list[int]] = list(map(sorted, map(set, _split(list(map(
+            self.state_tail.__getitem__, chain.from_iterable(self.inc_states))), cuts))))
         self.m_static = sum(map(len, self.adj)) // 2
         self.occurrence: list[int] = list(map(len, map(set, self.inc_times)))
         self.t_max_occurrence = max(self.occurrence)
-        self._denom: dict[tuple[int, int], float] = {}
+        # the transition denominator of each out-state, filled in by ``propagate``
+        self.state_denom: list[float | None] = [None] * (2 * self.m)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Sequence]) -> "TemporalGraph":
@@ -185,25 +198,25 @@ class TemporalGraph:
 
     # ---- transitions -----------------------------------------------------
 
+    @cached_property
+    def edge_list(self) -> list[tuple[int, int, int]]:
+        """The time-sorted stream of (u, v, t), built on first access."""
+        return list(zip(self.state_tail[1::2], self.state_tail[0::2], self.state_time[0::2]))
+
     def arrival(self, s: int) -> tuple[int, int]:
         """(vertex, time) at which out-state ``s`` arrives."""
-        u, v, t = self.edge_list[s >> 1]
-        return (u, t) if s & 1 else (v, t)
+        return self.state_tail[s], self.state_time[s]
 
     def denominator(self, u: int, t0: int) -> float:
-        """Normalizer of the walk leaving u after time t0, memoized lazily.
+        """Normalizer of the walk leaving u after time t0, computed afresh.
 
         A continuation at time t > t0 has weight decay(t - t0) = 1/(t - t0);
-        the denominator sums that weight over u's incident edges.
+        the denominator sums that weight over u's incident edges.  The push
+        keeps its own per-state memo of these values in ``state_denom``.
         """
-        key = (u, t0)
-        val = self._denom.get(key)
-        if val is None:
-            times = self.inc_times[u]
-            # subtract as Python ints: near 2**63 float64 cannot tell adjacent timestamps apart
-            val = math.fsum([1.0 / (t - t0) for t in times[bisect_right(times, t0):]])
-            self._denom[key] = val
-        return val
+        times = self.inc_times[u]
+        # subtract as Python ints: near 2**63 float64 cannot tell adjacent timestamps apart
+        return math.fsum([1.0 / (t - t0) for t in times[bisect_right(times, t0):]])
 
     # ---- de-temporal operations --------------------------------------------
 
@@ -292,13 +305,14 @@ class TemporalGraph:
         return self.index.get(label)
 
     def triple(self, e: int) -> tuple[str, str, int]:
-        u, v, t = self.edge_list[e]
-        return self.labels[u], self.labels[v], t
+        tail = self.state_tail
+        return self.labels[tail[2 * e + 1]], self.labels[tail[2 * e]], self.state_time[2 * e]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented
-        return self.labels == other.labels and self.edge_list == other.edge_list
+        return (self.labels == other.labels and self.state_tail == other.state_tail
+                and self.state_time == other.state_time)
 
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.n}, m={self.m}, m_static={self.m_static}, "

@@ -23,11 +23,12 @@ def _incidence(graph: TemporalGraph, members: set[int]) -> _Incidence:
     """Count the set's edges over its own out-states, in O(volume) time."""
     doubled = cut = volume = 0
     times: set[int] = set()
+    state_tail = graph.state_tail
     for u in members:
         states = graph.inc_states[u]
         volume += len(states)
         for s, t in zip(states, graph.inc_times[u]):
-            if graph.arrival(s)[0] in members:
+            if state_tail[s] in members:
                 doubled += 1
                 times.add(t)
             else:

@@ -121,24 +121,29 @@ def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
     forever, so in the limit everything settles here, and anything less would
     leak mass and break the degree bounds.  ``force`` skips the gate: seed
     states of a multi-vertex query can start below 1/m and must still fire or
-    no bounds ever accrue.
+    no bounds ever accrue.  A push reads its arrival from the graph's per-state
+    lists and fills an empty ``state_denom`` entry with ``graph.denominator``.
     """
     residue = state.residue
     lower = state.lower
     gate = 1.0 / graph.m
+    state_tail, state_time, state_denom = graph.state_tail, graph.state_time, graph.state_denom
     for sid in sids:
         r = residue[sid]
         if r == 0.0 or (r < gate and not force):
             continue
         residue[sid] = 0.0  # successors are strictly later, so never sid itself
-        tail, t = graph.arrival(sid)
+        tail = state_tail[sid]
+        t = state_time[sid]
         times = graph.inc_times[tail]
         lo = bisect_right(times, t)  # times[lo:] are the successors' timestamps
         distributed = 0.0
         if lo == len(times):
             settled = r
         else:
-            denom = graph.denominator(tail, t)
+            denom = state_denom[sid]
+            if denom is None:
+                denom = state_denom[sid] = graph.denominator(tail, t)
             spread = (1.0 - state.alpha) * r
             states = graph.inc_states[tail]
             for i in range(len(times) - 1, lo - 1, -1):
@@ -196,7 +201,7 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
 
     n_states = 2 * graph.m
     P = np.zeros((n_states, n_states))
-    arrivals = [graph.arrival(s) for s in range(n_states)]
+    arrivals = list(zip(graph.state_tail, graph.state_time))
     for s, (tail, t) in enumerate(arrivals):
         times = graph.inc_times[tail]
         lo = bisect_right(times, t)

@@ -6,12 +6,12 @@ metrics against it.
 Out-state 2e of edge e = (u, v, t) runs from head u to tail v; 2e+1 runs
 back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
-program over the stream that shares only the graph's denominators with the
-library's push.  ``reference_kcore_baseline`` is the k-core baseline that
-re-derives the query's component after every removal, and
-``reference_exact_community`` the exact search that peels the whole graph,
-and ``reference_expand`` the expansion that pushes each vertex's out-states
-only when it pops.
+program over the stream that shares only ``graph.denominator`` with the
+library's push, which memoizes its values per state.
+``reference_kcore_baseline`` is the k-core baseline that re-derives the
+query's component after every removal, and ``reference_exact_community`` the
+exact search that peels the whole graph, and ``reference_expand`` the
+expansion that pushes each vertex's out-states only when it pops.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import heapq
 import math
 import time as _time
 from collections import deque
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -106,9 +107,10 @@ def stop_dict_pagerank(g: TemporalGraph, ctx: QueryContext) -> np.ndarray:
     for q in ctx.queries:
         seed[q] = alpha / (len(ctx.queries) * len(g.inc_times[q]))
     stop: list[dict[int, float]] = [{} for _ in range(g.n)]
+    denominator = cache(g.denominator)  # the graph computes each call afresh
 
     def forward(src: dict[int, float], x: int, t: int) -> float:
-        return keep * sum(mass / ((t - t1) * g.denominator(x, t1))
+        return keep * sum(mass / ((t - t1) * denominator(x, t1))
                           for t1, mass in src.items() if t1 < t)
 
     for u, v, t in g.edge_list:

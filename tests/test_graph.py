@@ -1,13 +1,20 @@
 import gc
 import io
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from tpcore import (EmptyGraph, MalformedLine, QueryContext, QueryNotInSet,
-                    TemporalGraph, load_edge_stream, parse_edge_stream,
-                    power_iteration_pagerank, temporal_pagerank)
+import tpcore
+from tpcore import (EmptyGraph, MalformedLine, QueryContext, QueryNotInSet, SynthConfig,
+                    TemporalGraph, community_report, exact_community, load_edge_stream,
+                    local_search, parse_edge_stream, power_iteration_pagerank, synth_triples,
+                    temporal_pagerank)
 from tpcore.graph import format_edge_stream
 from tests import oracle
 from tests.conftest import CountedReads, graph_strategy, random_temporal_graph
@@ -195,6 +202,100 @@ def test_out_states_follow_the_stream():
     q, a, b = (g.index[x] for x in "qab")
     assert (g.inc_states[q], g.inc_states[a], g.inc_states[b]) == ([0, 2], [1, 4], [3, 5])
     assert [g.arrival(s) for s in range(6)] == [(a, 1), (q, 1), (b, 1), (q, 1), (b, 2), (a, 2)]
+
+
+def messy_triples(rng, top):
+    """Random triples with repeats, reversed repeats and self-loops; timestamps
+    are small or within 8 of ``top``."""
+    n = rng.randint(2, 10)
+    triples = []
+    for _ in range(rng.randint(1, 40)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        t = rng.randint(0, 8) if rng.random() < 0.5 else top - rng.randint(0, 8)
+        triples.append((f"v{u}", f"v{v}", t))
+        if rng.random() < 0.2:
+            triples.append(rng.choice([(f"v{u}", f"v{v}", t), (f"v{v}", f"v{u}", t)]))
+    triples.append(("v0", "v1", rng.randint(0, top)))  # at least one edge survives
+    return triples
+
+
+def test_per_state_lists_match_the_cleaned_stream():
+    rng = random.Random(13)
+    for top in (2**63 - 1, 50):
+        for _ in range(150):
+            triples = messy_triples(rng, top)
+            g = TemporalGraph.from_triples(triples)
+            kept = {}
+            for u, v, t in triples:  # first copy wins, self-loops go
+                if u != v:
+                    kept.setdefault((min(u, v), max(u, v), t), (u, v, t))
+            want = sorted(kept.values(), key=lambda e: e[2])
+            assert [g.triple(e) for e in range(g.m)] == want
+            assert len(g.state_tail) == len(g.state_time) == 2 * g.m
+            for e, (u, v, t) in enumerate(g.edge_list):
+                assert (g.state_tail[2 * e], g.state_tail[2 * e + 1]) == (v, u)
+                assert g.state_time[2 * e] == g.state_time[2 * e + 1] == t
+            assert [g.arrival(s) for s in range(2 * g.m)] == list(
+                zip(g.state_tail, g.state_time))
+            assert g.state_denom == [None] * (2 * g.m)
+
+
+def test_searches_never_build_the_edge_tuples():
+    g = parse_edge_stream(map(" ".join, (map(str, e) for e in messy_triples(
+        random.Random(17), 2**63 - 1))))
+    assert "edge_list" not in g.__dict__
+    ctx = QueryContext.single(0)
+    exact = exact_community(g, ctx)
+    local_search(g, ctx)
+    community_report(g, exact.scores, exact.members)
+    assert "edge_list" not in g.__dict__
+    assert g.edge_list is g.edge_list  # built once, on first access
+
+
+def test_load_peak_stays_near_what_the_graph_keeps():
+    """A deterministic check of the load's memory: the build frees its
+    intermediates as it goes, so the traced peak of a 25k-edge load stays
+    within 1.5x of what the finished graph holds."""
+    lines = format_edge_stream(synth_triples(SynthConfig(
+        n=5000, avg_deg=5.0, timestamps_per_edge=2, horizon=40, seed=3))).splitlines()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    g = parse_edge_stream(lines)
+    kept, peak = tracemalloc.get_traced_memory()
+    if not was_tracing:
+        tracemalloc.stop()
+    assert g.m > 20_000
+    assert peak - before <= 1.5 * (kept - before), (peak - before, kept - before)
+
+
+# run in a fresh interpreter, whose heap holds no garbage of earlier tests
+ROW_INT_GAPS = """
+from tpcore import SynthConfig, TemporalGraph, synth_triples
+g = TemporalGraph((u, v, t + 1000) for u, v, t in synth_triples(
+    SynthConfig(n=3000, avg_deg=5.0, timestamps_per_edge=2, horizon=1000, seed=3)))
+for rows in (g.inc_states, g.inc_times):
+    gaps = [id(b) - id(a) for row in rows for a, b in zip(row, row[1:])]
+    print(sum(0 < d <= 64 for d in gaps) / len(gaps))
+"""
+
+
+def test_row_ints_sit_next_to_each_other():
+    """The ints of every ``inc_states`` and ``inc_times`` row are made fresh in
+    row order before the build frees the ints of its buckets, so on CPython
+    each entry's object follows the previous one in memory (the score pass
+    reads them in row order).  Timestamps above 256 are not the interpreter's
+    shared small ints, so each one is an object of its own."""
+    src = str(Path(tpcore.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", ROW_INT_GAPS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    states, times = map(float, proc.stdout.split())
+    assert states >= 0.9 and times >= 0.9, (states, times)
 
 
 # ---- ordered edges and transitions -------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import tpcore
-from tpcore import (NotConverged, QueryContext, TemporalGraph,
+from tpcore import (NotConverged, QueryContext, TemporalGraph, local_search,
                     power_iteration_pagerank, temporal_pagerank,
                     temporal_pagerank_multi)
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
@@ -114,6 +114,21 @@ def test_scores_at_the_timestamp_limit():
             got = score(late, ctx)
             assert np.abs(got.values - expected).max() <= 1e-12
             assert got.total() == pytest.approx(1.0, abs=mass_tol)
+
+
+def test_push_memo_holds_the_graph_denominators():
+    rng = random.Random(23)
+    filled = 0
+    for _ in range(100):
+        g = random_temporal_graph(rng, n_max=12, m_max=40, t_max=rng.choice([3, 20, 1000]))
+        ctx = QueryContext.single(rng.randrange(g.n))
+        local_search(g, ctx)
+        temporal_pagerank(g, ctx)
+        for s, denom in enumerate(g.state_denom):
+            if denom is not None:
+                assert denom == g.denominator(*g.arrival(s))  # bit for bit
+                filled += 1
+    assert filled > 1000
 
 
 def test_values_array_equals_the_score_list(tri):
