@@ -241,8 +241,8 @@ def test_per_state_lists_match_the_cleaned_stream():
 
 
 def test_searches_never_build_the_edge_tuples():
-    g = parse_edge_stream(map(" ".join, (map(str, e) for e in messy_triples(
-        random.Random(17), 2**63 - 1))))
+    g = parse_edge_stream(format_edge_stream(messy_triples(random.Random(17), 2**63 - 1))
+                          .splitlines())
     assert "edge_list" not in g.__dict__
     ctx = QueryContext.single(0)
     exact = exact_community(g, ctx)
