@@ -7,15 +7,16 @@ probability of this walk is the proximity score used throughout the package.
 
 The exact scores come from forward push over the 2m ordered-edge states
 (``PushState``, ``propagate``): seed the start distribution, then drain the
-pending mass in state-id order, which is stream order, so one pass settles
-it all.  The local search in ``local`` pushes the same state selectively and
-reads its partial sums as bounds.  A power-iteration oracle over the explicit
-transition matrix stays independent for testing.
+pending mass in stream (state-id) order, so one pass settles it all.  A push
+divides one coefficient by each successor's time gap and takes the mass it
+settles off the pending total.  The local search in ``local`` pushes the same
+state selectively and reads its partial sums as bounds.  A power-iteration
+oracle over the transition matrix stays independent for testing.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable
@@ -116,16 +117,17 @@ def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
 
     Each residue is read when its turn comes, so mass pushed into a later
     state of ``sids`` is pushed on with it.  Non-dangling: settle alpha*r at
-    the arrival vertex, spread (1-alpha)*r over the successors.  Dangling:
-    settle the full residue; the self-loop stops alpha of the remaining mass
-    forever, so in the limit everything settles here, and anything less would
-    leak mass and break the degree bounds.  ``force`` skips the gate: seed
-    states of a multi-vertex query can start below 1/m and must still fire or
-    no bounds ever accrue.  A push reads its arrival from the graph's per-state
-    lists and fills an empty ``state_denom`` entry with ``graph.denominator``.
+    the arrival (tail, t) and add c/(tau - t) to each successor at time tau,
+    where c = (1-alpha)*r/denominator once per push.  Dangling: settle the
+    full residue; the self-loop stops alpha of the remaining mass forever, so
+    in the limit everything settles here; less would leak mass and break the
+    degree bounds.  ``residue_total`` loses the settled mass, as the pending
+    residue does in real arithmetic.  ``force`` skips the gate: seed states of
+    a multi-vertex query can start below 1/m and must still fire or no bounds
+    ever accrue.  A ``state_denom`` miss calls ``graph.denominator`` once and
+    fills every state arriving at (tail, t).
     """
-    residue = state.residue
-    lower = state.lower
+    residue, lower = state.residue, state.lower
     gate = 1.0 / graph.m
     state_tail, state_time, state_denom = graph.state_tail, graph.state_time, graph.state_denom
     for sid in sids:
@@ -133,26 +135,24 @@ def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
         if r == 0.0 or (r < gate and not force):
             continue
         residue[sid] = 0.0  # successors are strictly later, so never sid itself
-        tail = state_tail[sid]
-        t = state_time[sid]
+        tail, t = state_tail[sid], state_time[sid]
         times = graph.inc_times[tail]
         lo = bisect_right(times, t)  # times[lo:] are the successors' timestamps
-        distributed = 0.0
         if lo == len(times):
             settled = r
         else:
+            states = graph.inc_states[tail]
             denom = state_denom[sid]
             if denom is None:
-                denom = state_denom[sid] = graph.denominator(tail, t)
-            spread = (1.0 - state.alpha) * r
-            states = graph.inc_states[tail]
-            for i in range(len(times) - 1, lo - 1, -1):
-                share = spread / ((times[i] - t) * denom)
-                residue[states[i]] += share
-                distributed += share
+                denom = graph.denominator(tail, t)
+                for i in range(bisect_left(times, t), lo):
+                    state_denom[states[i] ^ 1] = denom
+            c = (1.0 - state.alpha) * r / denom
+            for i in range(lo, len(times)):
+                residue[states[i]] += c / (times[i] - t)
             settled = state.alpha * r
         lower[tail] += settled
-        state.residue_total += distributed - r
+        state.residue_total -= settled
         if state.residue_total < 0.0:
             state.residue_total = 0.0  # cached total of non-negatives; kill drift
         if on_lower is not None:

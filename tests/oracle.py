@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from tpcore import (CommunityResult, NoCore, PushState, QueriesDisconnected, QueryContext,
-                    TemporalGraph, min_proximity_degree, proximity_degree,
-                    temporal_pagerank)
+                    TemporalGraph, min_proximity_degree, temporal_pagerank)
 from tpcore.local import BOUND_SLACK
 from tpcore.pagerank import propagate, seed_state
 
@@ -259,7 +258,10 @@ def reference_kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) ->
 # ---- the whole-graph exact peel as first written, as a reference --------------
 # It peels every vertex of the graph; the library's version peels only the
 # region its certified bound leaves.  The bodies are unchanged, except for the
-# names, the call between them, and `time` imported as `_time` here.
+# names, the call between them, `time` imported as `_time` here, and the
+# peel's heap keys: exact integers over a common power-of-two denominator in
+# place of float degrees decremented per removal, which drift by an ulp and
+# can extract a vertex above the true minimum.
 
 def reference_peel(graph: TemporalGraph, values: np.ndarray,
                    queries: Sequence[int]) -> tuple[set[int], float]:
@@ -276,14 +278,18 @@ def reference_peel(graph: TemporalGraph, values: np.ndarray,
     """
     n = graph.n
     qset = set(queries)
-    rho = [proximity_degree(values, graph, range(n), u) for u in range(n)]
+    # every score is num / den with den a power of two, so scaling by the
+    # largest den makes each an exact integer and each degree an exact sum
+    ratios = [float(values[u]).as_integer_ratio() for u in range(n)]
+    scale = max(den for _, den in ratios)
+    exact = [num * (scale // den) for num, den in ratios]
     # full-space degrees: every vertex is present initially
+    rho = [sum(exact[v] for v in graph.adj[u]) for u in range(n)]
     alive = [True] * n
     heap = [(rho[u], u in qset, u) for u in range(n)]
     heapq.heapify(heap)
     removal_log: list[int] = []
-    # degree of each round's extracted vertex, taken exactly rounded rather
-    # than from the drift-prone decremented heap value, so real ties stay ties
+    # degree of each round's extracted vertex, exactly rounded
     round_degrees: list[float] = []
 
     while heap:
@@ -295,7 +301,7 @@ def reference_peel(graph: TemporalGraph, values: np.ndarray,
             break
         alive[u] = False
         removal_log.append(u)
-        score_u = float(values[u])
+        score_u = exact[u]
         for v in graph.adj[u]:
             if alive[v]:
                 rho[v] -= score_u

@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 
 import pytest
@@ -207,16 +209,47 @@ ULP_APART = [("v5", "v2", 1), ("v3", "v6", 1), ("v6", "v0", 1), ("v5", "v6", 1),
              ("v3", "v2", 1), ("v5", "v3", 1)]
 
 
+def float_keyed_peel_beta(graph, values, queries):
+    """The whole-graph peel's beta with float heap keys, each degree
+    decremented by a neighbour's score as it goes: the minimum degree of the
+    best round's component of the first query."""
+    qset = set(queries)
+    rho = [proximity_degree(values, graph, range(graph.n), u) for u in range(graph.n)]
+    alive = [True] * graph.n
+    heap = [(rho[u], u in qset, u) for u in range(graph.n)]
+    heapq.heapify(heap)
+    removal_log, round_degrees = [], []
+    while heap:
+        val, _, u = heapq.heappop(heap)
+        if not alive[u] or val != rho[u]:
+            continue
+        round_degrees.append(math.fsum(values[v] for v in graph.adj[u] if alive[v]))
+        if u in qset:
+            break
+        alive[u] = False
+        removal_log.append(u)
+        for v in graph.adj[u]:
+            if alive[v]:
+                rho[v] -= values[u]
+                heapq.heappush(heap, (rho[v], v in qset, v))
+    last = graph.last_connected_round(range(graph.n), removal_log, queries)
+    best = round_degrees.index(max(round_degrees[:last + 1]))
+    survivors = set(range(graph.n)) - set(removal_log[:best])
+    return min_proximity_degree(values, graph, graph.connected_component(survivors, queries[0]))
+
+
 def test_exact_peel_takes_true_minima_an_ulp_apart():
-    """Decremented float keys drift here, so the whole-graph reference peel
+    """Decremented float keys drift here, so a float-keyed whole-graph peel
     extracts a vertex an ulp above the minimum and reports a smaller beta;
-    exact integer keys give brute force's answer."""
+    exact integer keys, the library's and the reference peel's, give brute
+    force's answer."""
     g = TemporalGraph.from_triples(ULP_APART)
     ctx = QueryContext((g.index["v2"], g.index["v7"]), 0.2)
     res = exact_community(g, ctx)
     brute = brute_force_search(g, ctx)
     assert (res.members, res.beta) == (brute.members, brute.beta)
-    assert oracle.reference_exact_community(g, ctx).beta < res.beta
+    assert answer(oracle.reference_exact_community(g, ctx)) == (brute.members, brute.beta)
+    assert float_keyed_peel_beta(g, res.scores.per_vertex, ctx.queries) < res.beta
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 
 import tpcore
+import tpcore.pagerank as pagerank
 from tpcore import (NotConverged, QueryContext, TemporalGraph, local_search,
-                    power_iteration_pagerank, temporal_pagerank,
+                    power_iteration_pagerank, propagate, temporal_pagerank,
                     temporal_pagerank_multi)
+from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
 from tests.oracle import stop_dict_pagerank
+from tests.test_graph import messy_triples
 
 
 def by_label(graph, scores):
@@ -129,6 +132,54 @@ def test_push_memo_holds_the_graph_denominators():
                 assert denom == g.denominator(*g.arrival(s))  # bit for bit
                 filled += 1
     assert filled > 1000
+
+
+def test_cold_and_warm_passes_agree_bit_for_bit():
+    """A pass that reads denominators other queries left in ``state_denom``
+    gives the scores of a pass that computes them all afresh."""
+    rng = random.Random(31)
+    warm_entries = 0
+    for top in (2**63 - 1, 50):
+        for _ in range(100):
+            triples = messy_triples(rng, top)
+            cold, warm = TemporalGraph.from_triples(triples), TemporalGraph.from_triples(triples)
+            alpha = rng.choice((0.2, 0.5))
+            ctx = QueryContext.single(rng.randrange(cold.n), alpha)
+            local_search(warm, QueryContext.single(rng.randrange(warm.n), alpha))
+            temporal_pagerank(warm, QueryContext((rng.randrange(warm.n), rng.randrange(warm.n)),
+                                                 alpha))
+            warm_entries += sum(d is not None for d in warm.state_denom)
+            got = temporal_pagerank(warm, ctx).per_vertex
+            assert got == temporal_pagerank(cold, ctx).per_vertex
+    assert warm_entries > 1000
+
+
+def test_one_denominator_per_arrival(monkeypatch):
+    """A cold pass computes each (arrival vertex, time) denominator once, however
+    many of the states it pushes arrive there."""
+    rng = random.Random(37)
+    calls, arrivals = [], set()
+    for k in range(100):
+        g = random_temporal_graph(rng, n_max=10, m_max=40, t_max=rng.choice([2, 5, 1000]))
+        fresh = g.denominator
+        monkeypatch.setattr(g, "denominator",
+                            lambda u, t0: calls.append((k, u, t0)) or fresh(u, t0))
+        pushed = []
+
+        def spy(state, sids, graph, *args, **kwargs):
+            def feed():
+                for s in sids:  # drain feeds only states holding mass, and forces them
+                    pushed.append(s)
+                    yield s
+            return propagate(state, feed(), graph, *args, **kwargs)
+
+        monkeypatch.setattr(pagerank, "propagate", spy)
+        temporal_pagerank(g, QueryContext.single(rng.randrange(g.n)))
+        monkeypatch.undo()
+        arrivals |= {(k, *g.arrival(s)) for s in pushed
+                     if not oracle.vertex_dangling(g, *g.arrival(s))}
+    assert len(calls) == len(set(calls)) and set(calls) == arrivals
+    assert len(arrivals) > 500
 
 
 def test_values_array_equals_the_score_list(tri):
