@@ -65,7 +65,7 @@ def main():
     sketch("recall", recall)
     sketch("precision", precision)
     sketch("|C|/n", fraction)
-    print(f"   fallbacks: {fallbacks}/{args.graphs}")
+    print(f"drained exact (fallback): {fallbacks}/{args.graphs}")
 
 
 if __name__ == "__main__":

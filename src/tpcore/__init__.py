@@ -7,8 +7,8 @@ from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
                      NotConverged, QueriesDisconnected, QueryNotInSet, TooLarge,
                      UnknownLabel)
 from .graph import TemporalGraph, load_edge_stream, parse_edge_stream
-from .local import (ApproxResult, degree_bounds, expand, local_search,
-                    local_search_multi, reduce_stage)
+from .local import (ApproxResult, expand, local_search, local_search_multi,
+                    reduce_stage)
 from .metrics import (MetricReport, community_report, min_degree_metric,
                       temporal_conductance, temporal_density)
 from .pagerank import (PushState, QueryContext, ScoreVector, drain,
@@ -22,7 +22,7 @@ __all__ = [
     "PushState", "QueriesDisconnected", "QueryContext",
     "QueryNotInSet", "ScoreVector", "SynthConfig", "TemporalGraph",
     "TooLarge", "UnknownLabel", "brute_force_search",
-    "community_report", "degree_bounds", "drain", "exact_community",
+    "community_report", "drain", "exact_community",
     "exact_community_multi", "expand", "kcore_baseline",
     "load_edge_stream", "local_search", "local_search_multi", "min_degree_metric",
     "min_proximity_degree", "parse_edge_stream", "power_iteration_pagerank",

@@ -51,18 +51,19 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
 
 
 def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
-          universe: list[int]) -> tuple[set[int], float]:
+          universe: Sequence[int]) -> tuple[set[int], float]:
     """Greedy removal of minimum-degree vertices inside ``universe``.
 
-    The universe must be connected and hold every query, as the flood's taken
-    sets do.  Returns the best snapshot (the universe less the removals before
-    the best round) and its minimum degree, all degrees taken inside the
-    universe.  The queries' component of it has the same minimum, or the
-    component's own first extraction, later and with the queries still joined,
-    would have won.  Ties extract the smallest vertex id with query vertices
-    deferred last; extracting a query ends the loop (its degree still competes
-    for the best snapshot, otherwise the reported optimum would go stale when
-    the query itself is the unique minimum).  Only rounds at which the queries
+    One component of the universe must hold every query, as in the flood's
+    taken sets and ``local.reduce_stage``'s universes.  Returns the best
+    snapshot (the universe less the removals before the best round) and its
+    minimum degree, all degrees taken inside the universe.  The queries'
+    component of it has the same minimum, or the component's own first
+    extraction, later and with the queries still joined, would have won.
+    Ties extract the smallest vertex id with query vertices deferred last;
+    extracting a query ends the loop (its degree still competes for the best
+    snapshot, otherwise the reported optimum would go stale when the query
+    itself is the unique minimum).  Only rounds at which the queries
     still share a component compete.  The best round is the earliest of
     largest degree, so the snapshot is the largest optimal one.  Per-vertex
     state lives in dicts keyed by the universe, so a peel costs in proportion

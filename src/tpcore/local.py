@@ -7,19 +7,22 @@ earned by the expansion's reads, when later pushes leave mass on them.  The
 mass settled per vertex lower-bounds its proximity score, and adding the
 total pending residue gives upper bounds, which prune the expansion while
 guaranteeing the expanded set still covers the exact community.  Stage two
-peels the expanded set at a geometrically shrinking approximation level;
-every level the query survives certifies that level as an approximation
-ratio.
+peels the expanded set once, greedily and on the lower bounds, with the
+exact solver's peel; its best minimum degree certifies the ratio of a
+query's degree upper bound to it.  The paper's stage two peels at
+geometrically shrinking levels instead; those levels are nested thresholds
+of this one min-degree cascade.
 """
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .community import _peel
 from .errors import QueriesDisconnected, QueryNotInSet
 from .graph import TemporalGraph
 from .pagerank import PushState, QueryContext, drain, propagate, seed_state
@@ -29,16 +32,6 @@ from .pagerank import PushState, QueryContext, drain, propagate, seed_state
 # equal in real arithmetic can disagree by a few ulps; pruning decisions err
 # on the keeping side by this margin so exact-community members never fall out
 BOUND_SLACK = 1e-12
-
-
-def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tuple[float, float]:
-    """(lower, upper) bracket of u's proximity degree inside ``subset``."""
-    space = subset if isinstance(subset, (set, frozenset, range)) else set(subset)
-    lo = 0.0
-    for v in graph.adj[u]:
-        if v in space:
-            lo += state.lower[v]
-    return lo, lo + state.residue_total
 
 
 def expand(graph: TemporalGraph, ctx: QueryContext,
@@ -198,10 +191,11 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
 class ApproxResult:
     """Community with a certified approximation ratio.
 
-    beta_lower is the minimum lower-bound degree inside the returned
-    community; the exact optimum is at most epsilon times it.  fallback marks
-    answers where the query fell in the first reduction round and the
-    unreduced expanded set was returned.
+    beta_lower is a lower bound of every member's proximity degree inside the
+    returned community; the exact optimum is at most epsilon times it.
+    fallback marks answers where the lower bounds certified nothing (their
+    peel's best degree was 0), so the push was drained and the expanded set
+    peeled on the exact scores: such an answer is exact, with epsilon 1.
     """
 
     members: frozenset[int]
@@ -209,7 +203,6 @@ class ApproxResult:
     beta_lower: float
     fallback: bool
     explored: frozenset[int]
-    epsilon_trace: tuple[float, ...] = ()
     algorithm: str = "als"
     timings: dict[str, float] = field(default_factory=dict)
     pushes: int = 0
@@ -219,27 +212,16 @@ class ApproxResult:
         return sorted(graph.labels[u] for u in self.members)
 
     @property
+    def epsilon_trace(self) -> tuple[float, ...]:
+        """The certified levels of the reduction: its one peel certifies epsilon."""
+        return (self.epsilon,)
+
+    @property
     def stats(self) -> dict[str, object]:
-        """What the search did: vertices explored, the certified levels it passed,
-        and the expansion's state pushes and re-pushes."""
+        """What the search did: vertices explored, the certified level, and
+        the expansion's state pushes and re-pushes."""
         return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace),
                 "pushes": self.pushes, "repushes": self.repushes}
-
-
-def _fresh_degrees(graph: TemporalGraph, lower: list[float], members,
-                   space: set[int] | frozenset[int] | None = None) -> dict[int, float]:
-    """Lower-bound degree of each vertex of ``members`` inside ``space``
-    (default: inside ``members``), summed afresh."""
-    if space is None:
-        space = members if isinstance(members, (set, frozenset)) else set(members)
-    out: dict[int, float] = {}
-    for u in members:
-        total = 0.0
-        for v in graph.adj[u]:
-            if v in space:
-                total += lower[v]
-        out[u] = total
-    return out
 
 
 def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph,
@@ -248,121 +230,47 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
 
     temp, the least lower-bound degree of a query over the expanded set plus
     the pending residue, upper-bounds the exact optimum: every query lies in
-    the optimum, which lies in the expanded set.  Rounds run at level eps_bar,
-    cascade-removing every vertex whose lower-bound degree cannot exceed
-    temp/eps_bar; a survived round records eps_bar as the certified ratio and
-    halves it (never below 1).  Rounds run until one would remove a query
-    vertex; that round is discarded, and so is every round from the first
-    that splits the query set, found from the removal log by one union-find
-    replay.  Zero-degree vertices can never survive any finite level, so they
-    are cleared in unrecorded preliminary rounds, repeated while a fresh
-    degree is still 0.
+    the optimum, which lies in the expanded set.  One greedy peel
+    (``community._peel``, exact integer degrees) of the expanded vertices
+    holding settled mass, and of the queries, on the lower bounds finds the
+    best minimum degree beta_p of a set that joins the queries; if those
+    vertices do not join the queries, the whole expanded set is peeled.  A
+    massless vertex adds 0 to every degree, so each expanded one whose degree
+    into the kept set reaches beta_p is re-admitted; it can join kept parts.
+    The answer is the queries' component, with beta_lower = beta_p and
+    epsilon = temp / beta_p (at least 1), rounded up so that
+    epsilon * beta_lower >= temp holds in floats.  If beta_p is 0 the push is
+    drained and the expanded set, which covers the exact community, is peeled
+    on the exact scores: that answer is exact, epsilon 1, fallback True.
     """
     queries = ctx.queries
-    qset = set(queries)
-    members = set(expanded)
-    explored = frozenset(members)
+    # copied from a set, the frozenset's table is sized to fit: half the
+    # memory of one grown from the list, and every result keeps it
+    explored = frozenset(set(expanded))
     lower = state.lower
+    adj = graph.adj
     for q in queries:
-        if q not in members:
+        if q not in explored:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
-    if len(members) == 1:
-        return ApproxResult(frozenset(members), 1.0, 0.0, False, explored,
-                            pushes=state.pushes, repushes=state.repushes)
-
-    rho = _fresh_degrees(graph, lower, members)
-    temp = min(rho[q] for q in queries) + state.residue_total
-
-    def answer(kept: set[int], eps: float, fallback: bool,
-               trace: Sequence[float] = ()) -> ApproxResult:
-        component = graph.connected_component(kept, queries[0])
-        beta_lower = min(_fresh_degrees(graph, lower, component).values())
-        return ApproxResult(frozenset(component), eps, beta_lower, fallback,
-                            explored, tuple(trace), pushes=state.pushes,
-                            repushes=state.repushes)
-
-    def run_round(eps_bar: float | None) -> tuple[set[int], bool]:
-        """Collect the round's removals; True in the second slot means a query fell.
-
-        eps_bar None is the preliminary zero-degree level.  Degree decrements
-        are applied live; a discarded round simply never reuses them.
-        """
-        def falls(x: int) -> bool:
-            if eps_bar is None:
-                return rho[x] <= 0.0
-            return eps_bar * rho[x] <= temp
-
-        doomed: set[int] = set()
-        queue: deque[int] = deque()
-        for u in sorted(members):
-            if falls(u):
-                if u in qset:
-                    return doomed, True
-                doomed.add(u)
-                queue.append(u)
-        while queue:
-            u = queue.popleft()
-            for v in graph.adj[u]:
-                if v in members and v not in doomed:
-                    rho[v] -= lower[u]
-                    if falls(v):
-                        if v in qset:
-                            return doomed, True
-                        doomed.add(v)
-                        queue.append(v)
-        return doomed, False
-
-    # vertices with zero lower-bound degree cannot survive any finite level;
-    # clear them in unrecorded preliminary rounds
-    while min(rho.values()) <= 0.0:
-        doomed, query_fell = run_round(None)
-        blocked = query_fell or (len(queries) > 1
-                                 and not graph.co_connected(members - doomed, queries))
-        if not blocked:
-            members -= doomed
-            for u in doomed:
-                del rho[u]
-            # live decrements can leave float drift (about 1e-17) where a
-            # degree fell to 0; a fresh sum of non-negative terms is 0 exactly
-            # then, so recompute the degrees the round touched and repeat the
-            # round while a zero remains
-            touched = {v for u in doomed for v in graph.adj[u] if v in members}
-            rho.update(_fresh_degrees(graph, lower, touched, members))
-            continue
-        if state.residue_total > 0.0:
-            # the bounds may just be starved below the push gate: settle all
-            # mass and retry the zero level with exact degrees, from the whole
-            # explored set, since earlier rounds pruned on the starved bounds
-            drain(state, graph)
-            members = set(explored)
-            rho = _fresh_degrees(graph, lower, members)
-            temp = min(rho[q] for q in queries)
-            continue
-        # degrees are exact and the queries still cannot outlive the zero
-        # level, so no community does better than 0; anything is 1-approximate
-        return answer(members, 1.0, True)
-
-    eps_bar = first_level = temp / min(rho.values())
-    start = set(members)
-    removal_log: list[int] = []
-    ends: list[int] = []  # len(removal_log) after each survived round
-    trace: list[float] = []
-    while True:
-        doomed, query_fell = run_round(eps_bar)
-        if query_fell:
-            break
-        members -= doomed
-        for u in doomed:
-            del rho[u]
-        removal_log.extend(doomed)
-        ends.append(len(removal_log))
-        trace.append(eps_bar)
-        eps_bar = max(eps_bar / 2.0, 1.0)
-    kept = bisect_right(ends, graph.last_connected_round(start, removal_log, queries))
-    if kept == 0:
-        return answer(start, first_level, True)
-    return answer(start - set(removal_log[:ends[kept - 1]]), trace[kept - 1], False,
-                  trace[:kept])
+    temp = min(math.fsum([lower[v] for v in adj[q] if v in explored])
+               for q in queries) + state.residue_total
+    universe = [u for u in expanded if lower[u] > 0.0 or u in queries]
+    if not graph.co_connected(universe, queries):
+        universe = expanded
+    kept, beta = _peel(graph, lower, queries, universe)
+    if beta > 0.0:
+        kept.update([u for u in expanded if lower[u] == 0.0 and u not in kept
+                     and math.fsum([lower[v] for v in adj[u] if v in kept]) >= beta])
+        epsilon, fallback = max(1.0, temp / beta), False
+        while epsilon * beta < temp:
+            epsilon = math.nextafter(epsilon, math.inf)
+    else:
+        drain(state, graph)
+        kept, beta = _peel(graph, lower, queries, expanded)
+        epsilon, fallback = 1.0, True
+    return ApproxResult(frozenset(graph.connected_component(kept, queries[0])), epsilon,
+                        beta, fallback, explored, pushes=state.pushes,
+                        repushes=state.repushes)
 
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:

@@ -12,6 +12,8 @@ library's push, which memoizes its values per state.
 query's component after every removal, and ``reference_exact_community`` the
 exact search that peels the whole graph, and ``reference_expand`` the
 expansion that pushes each vertex's out-states only when it pops.
+``degree_bounds`` brackets a vertex's proximity degree by a push state's
+bounds, for the sandwich checks.
 """
 from __future__ import annotations
 
@@ -334,6 +336,18 @@ def reference_exact_community(graph: TemporalGraph, ctx: QueryContext) -> Commun
     t2 = _time.perf_counter()
     return CommunityResult(frozenset(component), beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
+
+
+# ---- the push state's degree bracket ------------------------------------------
+
+def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tuple[float, float]:
+    """(lower, upper) bracket of u's proximity degree inside ``subset``."""
+    space = subset if isinstance(subset, (set, frozenset, range)) else set(subset)
+    lo = 0.0
+    for v in graph.adj[u]:
+        if v in space:
+            lo += state.lower[v]
+    return lo, lo + state.residue_total
 
 
 # ---- the expansion as first written, as a reference ----------------------------

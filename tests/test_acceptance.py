@@ -11,13 +11,14 @@ import time
 import numpy as np
 
 from tpcore import (QueryContext, TemporalGraph, brute_force_search,
-                    degree_bounds, exact_community, exact_community_multi,
+                    exact_community, exact_community_multi,
                     expand, local_search, local_search_multi,
                     min_degree_metric, power_iteration_pagerank,
                     proximity_degree, temporal_conductance, temporal_density,
                     temporal_pagerank, temporal_pagerank_multi)
 from tpcore.synth import SynthConfig, synth_graph
 from tests.conftest import CHAIN3, TRI, CountedReads, random_temporal_graph
+from tests.oracle import degree_bounds
 
 ALPHA = 0.2
 

@@ -133,7 +133,7 @@ def test_query_als_json(capsys, tri_file):
     jsonschema.validate(payload, RESPONSE_SCHEMA)
     assert payload["community"] == ["a", "b", "q"]
     assert payload["epsilon"] == pytest.approx(2.0)
-    assert payload["fallback"] is True
+    assert payload["fallback"] is False
     assert payload["explored_fraction"] == 1.0
 
 

@@ -365,9 +365,11 @@ def test_denominator_memo_matches_direct():
             u = rng.randrange(g.n)
             t0 = rng.randint(0, 16)
             direct = sum(1.0 / (t - t0) for t in g.inc_times[u] if t > t0)
-            assert g.denominator(u, t0) == pytest.approx(direct, abs=1e-12)
-            # second lookup serves the memoized entry
-            assert g.denominator(u, t0) == g.denominator(u, t0)
+            first = g.denominator(u, t0)
+            assert first == pytest.approx(direct, abs=1e-12)
+            # denominator is deterministic: a repeated call returns the same
+            # float (the push's per-state memo of it is checked in test_pagerank)
+            assert g.denominator(u, t0) == first
             probes += 1
 
 

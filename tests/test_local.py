@@ -7,13 +7,13 @@ import pytest
 import tests.oracle
 import tpcore.local
 from tpcore import (PushState, QueriesDisconnected, QueryContext, SynthConfig,
-                    TemporalGraph, degree_bounds, drain, exact_community, expand,
+                    TemporalGraph, drain, exact_community, expand,
                     local_search, local_search_multi, min_proximity_degree,
                     power_iteration_pagerank, propagate, proximity_degree,
                     reduce_stage, synth_graph, temporal_pagerank)
 from tpcore.cli import stratified_queries
 from tests.conftest import ctx_for, random_temporal_graph
-from tests.oracle import reference_expand, stop_dict_pagerank
+from tests.oracle import degree_bounds, reference_expand, stop_dict_pagerank
 from tests.test_graph import edge
 
 
@@ -286,13 +286,15 @@ def drained_state(graph, ctx):
 
 
 def test_reduce_tri_fallback(tri):
+    """On drained bounds the lower-bound peel certifies a positive degree, so
+    no fallback is needed."""
     ctx = ctx_for(tri)
     expanded, state = drained_state(tri, ctx)
     res = reduce_stage(expanded, state, tri, ctx)
     assert labels(tri, res.members) == ["a", "b", "q"]
     assert res.epsilon == pytest.approx(2.0, abs=1e-12)
     assert res.beta_lower == pytest.approx(0.5, abs=1e-12)
-    assert res.fallback
+    assert not res.fallback
 
 
 def test_reduce_chain3_fallback(chain3):
@@ -302,7 +304,7 @@ def test_reduce_chain3_fallback(chain3):
     assert labels(chain3, res.members) == ["a", "b", "q"]
     assert res.epsilon == pytest.approx(1.0, abs=1e-12)
     assert res.beta_lower == pytest.approx(0.2, abs=1e-12)
-    assert res.fallback
+    assert not res.fallback
 
 
 def test_reduce_singleton(tri):
@@ -316,9 +318,9 @@ def test_reduce_singleton(tri):
 
 def test_reduce_keeps_rounds_before_a_middle_split():
     """Queries a and b meet only through x.  With these lower bounds (temp 7,
-    b's degree) round 1 (level 7) removes the leaf l, round 2 (level 3.5)
-    removes x and splits the queries, and round 3 (level 1.75) would remove a.
-    The answer is the set after round 1, certified at level 7."""
+    b's degree) the peel removes the leaf l at degree 1, then x at degree 2,
+    which splits the queries.  The answer is the set before x falls, with
+    beta_lower 2 (x's degree) and epsilon 7 / 2."""
     g = TemporalGraph.from_triples([
         ("a", "x", 1), ("x", "b", 1), ("a", "l", 1),
         ("a", "p1", 1), ("a", "p2", 1), ("p1", "p2", 1),
@@ -330,7 +332,7 @@ def test_reduce_keeps_rounds_before_a_middle_split():
         state.lower[g.index[lab]] = w
     res = reduce_stage(list(range(g.n)), state, g, ctx)
     assert labels(g, res.members) == ["a", "b", "p1", "p2", "q1", "q2", "x"]
-    assert (res.epsilon, res.epsilon_trace, res.fallback) == (7.0, (7.0,), False)
+    assert (res.epsilon, res.epsilon_trace, res.fallback) == (3.5, (3.5,), False)
     assert res.beta_lower == 2.0  # x's degree: a + b
     assert not g.co_connected(res.members - {g.index["x"]}, ctx.queries)
 
@@ -343,20 +345,90 @@ def test_reduce_query_outside_set(tri):
         reduce_stage([tri.index["a"], tri.index["b"]], state, tri, ctx)
 
 
-def test_recorded_levels_halve():
-    rng = random.Random(64)
-    seen_multi_round = False
-    for _ in range(60):
-        g = random_temporal_graph(rng, n_max=40, m_max=160, t_max=25)
-        res = local_search(g, QueryContext.single(rng.randrange(g.n)))
-        trace = res.epsilon_trace
-        for prev, nxt in zip(trace, trace[1:]):
-            assert nxt == prev / 2.0
-        if len(trace) >= 2:
-            seen_multi_round = True
-        if trace:
-            assert res.epsilon == trace[-1]
-    assert seen_multi_round
+def check_reduce(g, ctx):
+    """Expand and reduce; check the stage-two invariants and return (result, state)."""
+    expanded, state = expand(g, ctx)
+    explored = set(expanded)
+    temp = min(math.fsum(state.lower[v] for v in g.adj[q] if v in explored)
+               for q in ctx.queries) + state.residue_total
+    res = reduce_stage(expanded, state, g, ctx)
+    members = res.members
+    assert set(ctx.queries) <= members <= explored
+    assert g.connected_component(members, ctx.queries[0]) == members
+    assert res.epsilon >= 1.0
+    assert res.epsilon_trace == (res.epsilon,)
+    if res.fallback:
+        assert res.epsilon == 1.0
+    else:
+        assert res.epsilon * res.beta_lower >= temp
+    assert all(proximity_degree(state.lower, g, members, u) >= res.beta_lower
+               for u in members)
+    return res, state
+
+
+def test_reduce_certifies_one_peel():
+    """Single queries and query sets at alpha 0.2 and 0.5: epsilon * beta_lower
+    covers temp in floats, every member's degree on the bounds reaches
+    beta_lower, and the answer is connected and holds every query."""
+    rng = random.Random(1616)
+    cases = [(g, QueryContext.single(rng.randrange(g.n)))
+             for g in (random_temporal_graph(rng, n_max=40, m_max=150, t_max=(1, 3, 25)[i % 3])
+                       for i in range(60))]
+    cases += query_set_contexts(rng, 60, n_max=30, m_max=100)
+    fallbacks = 0
+    for i, (g, ctx) in enumerate(cases):
+        res, _ = check_reduce(g, QueryContext(ctx.queries, (0.2, 0.5)[i % 2]))
+        fallbacks += res.fallback
+    assert fallbacks < len(cases) // 10
+
+
+def test_reduce_peels_the_whole_set_when_the_mass_does_not_join_the_queries():
+    """Path a-x-w-y-c, queries (a, c): no walk reaches w in time, so the
+    vertices holding mass split the queries, and the peel takes the whole
+    expanded set, w included."""
+    g = TemporalGraph.from_triples([("a", "x", 2), ("x", "w", 1), ("w", "y", 1),
+                                    ("y", "c", 2), ("a", "x", 3), ("c", "y", 3)])
+    ctx = QueryContext((g.index["a"], g.index["c"]))
+    res, state = check_reduce(g, ctx)
+    assert state.lower[g.index["w"]] == 0.0
+    assert labels(g, res.members) == ["a", "c", "w", "x", "y"]
+    assert not res.fallback
+    assert res.beta_lower == pytest.approx(0.2, abs=1e-15)
+    assert res.epsilon == pytest.approx(1.5, abs=1e-15)
+
+
+# Graphs at alpha 0.5 whose lower degrees are sums of simple fractions: the
+# query's bound temp is 1 in real arithmetic, and the kept set's minimum
+# degree (2/5, 1/3) is exactly temp / epsilon, so a threshold test decided in
+# floats keeps or drops those vertices by rounding.
+THRESHOLD_TIES = [
+    ("v0", 2.5, [("v2", "v5", 2), ("v1", "v7", 1), ("v2", "v0", 2), ("v5", "v0", 1),
+                 ("v3", "v2", 2), ("v5", "v0", 1), ("v7", "v3", 1), ("v0", "v5", 2),
+                 ("v1", "v5", 1), ("v6", "v4", 1), ("v3", "v5", 2), ("v0", "v3", 1),
+                 ("v7", "v1", 1), ("v2", "v4", 2), ("v4", "v0", 1), ("v5", "v7", 2)]),
+    ("v4", 3.0, [("v2", "v0", 1), ("v3", "v7", 2), ("v2", "v7", 2), ("v2", "v5", 2),
+                 ("v5", "v1", 2), ("v2", "v1", 2), ("v1", "v0", 2), ("v2", "v0", 1),
+                 ("v1", "v3", 1), ("v7", "v4", 1), ("v3", "v1", 2), ("v4", "v2", 2),
+                 ("v4", "v7", 1), ("v4", "v7", 1), ("v4", "v3", 2), ("v5", "v0", 1),
+                 ("v2", "v6", 1), ("v4", "v5", 2), ("v2", "v4", 1), ("v0", "v5", 2),
+                 ("v1", "v4", 2)]),
+]
+
+
+@pytest.mark.parametrize("q, epsilon, triples", THRESHOLD_TIES)
+def test_reduce_peel_is_exact_at_a_threshold_tie(q, epsilon, triples):
+    """beta_lower is the whole-graph reference peel's best degree on the same
+    lower bounds, bit for bit."""
+    g = TemporalGraph.from_triples(triples)
+    ctx = QueryContext.single(g.index[q], 0.5)
+    res, state = check_reduce(g, ctx)
+    assert not res.fallback
+    assert res.explored == frozenset(range(g.n))
+    _, beta = tests.oracle.reference_peel(g, np.array(state.lower), ctx.queries)
+    assert res.beta_lower == beta
+    assert res.epsilon == pytest.approx(epsilon, rel=1e-15)
+    exact = exact_community(g, ctx)
+    assert exact.beta <= res.epsilon * res.beta_lower
 
 
 # ---- end to end -----------------------------------------------------------------------
@@ -392,11 +464,10 @@ def test_guarantee_on_random_graphs():
             assert exact.beta == 0.0
 
 
-# Graphs on which the zero-level rounds of reduce_stage certified a false
-# ratio: their live decrements left about 1e-17 where a degree fell to 0, and
-# the drained retry kept only the members that rounds on starved bounds had
-# left, so the fallback came back with beta_lower 0 and epsilon about 1.8e16
-# while the exact optimum is positive.
+# Graphs whose lower-bound degrees fall to 0 by float decrements that leave
+# about 1e-17 behind: a reduction deciding on such degrees once certified
+# beta_lower 0 with epsilon about 1.8e16 here, while the exact optimum is
+# positive.
 ZERO_LEVEL_DRIFT = [
     (0.2, "v7", [("v5", "v3", 2), ("v2", "v7", 2), ("v7", "v5", 2), ("v0", "v7", 3),
                  ("v0", "v4", 1), ("v1", "v0", 2), ("v5", "v7", 1), ("v2", "v1", 1)]),
