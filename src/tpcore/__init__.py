@@ -9,8 +9,8 @@ from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
 from .graph import TemporalGraph, load_edge_stream, parse_edge_stream
 from .local import (ApproxResult, expand, local_search, local_search_multi,
                     reduce_stage)
-from .metrics import (MetricReport, community_report, min_degree_metric,
-                      temporal_conductance, temporal_density)
+from .metrics import (MetricReport, community_report, temporal_conductance,
+                      temporal_density)
 from .pagerank import (PushState, QueryContext, ScoreVector, drain,
                        power_iteration_pagerank, propagate, temporal_pagerank,
                        temporal_pagerank_multi)
@@ -24,7 +24,7 @@ __all__ = [
     "TooLarge", "UnknownLabel", "brute_force_search",
     "community_report", "drain", "exact_community",
     "exact_community_multi", "expand", "kcore_baseline",
-    "load_edge_stream", "local_search", "local_search_multi", "min_degree_metric",
+    "load_edge_stream", "local_search", "local_search_multi",
     "min_proximity_degree", "parse_edge_stream", "power_iteration_pagerank",
     "propagate", "proximity_degree", "reduce_stage", "synth_graph",
     "synth_triples", "temporal_conductance", "temporal_density",

@@ -22,7 +22,7 @@ from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLab
 from .graph import TemporalGraph, format_edge_stream, load_edge_stream
 from .local import local_search
 from .metrics import community_report
-from .pagerank import QueryContext, temporal_pagerank
+from .pagerank import DEFAULT_ALPHA, QueryContext, temporal_pagerank
 from .synth import SynthConfig, synth_triples
 
 ALGORITHMS = ("egr", "als", "baseline", "brute")
@@ -61,7 +61,7 @@ def _load(path: str, as_json: bool) -> TemporalGraph | int:
 def _resolve_labels(graph: TemporalGraph, labels: list[str]) -> list[int]:
     ids = []
     for lab in labels:
-        u = graph.vertex(lab)
+        u = graph.index.get(lab)
         if u is None:
             raise UnknownLabel(lab)
         ids.append(u)
@@ -192,8 +192,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def stratified_queries(graph: TemporalGraph, count: int) -> list[int]:
     """``count`` vertices, the middle one of each equal slice of the vertices
-    ranked by (temporal occurrence, id)."""
-    order = sorted(range(graph.n), key=lambda u: (graph.temporal_occurrence(u), u))
+    ranked by (temporal occurrence, id), the occurrence of u being the number
+    of distinct timestamps on its edges."""
+    order = sorted(range(graph.n), key=lambda u: (len(set(graph.inc_times[u])), u))
     return [order[int((i + 0.5) * len(order) / count)] for i in range(count)]
 
 
@@ -234,7 +235,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ctx = QueryContext.single(q, args.alpha)
         row: dict[str, object] = {key: "" for key in BENCH_HEADER}
         row["query"] = graph.labels[q]
-        row["occurrence"] = graph.temporal_occurrence(q)
+        row["occurrence"] = len(set(graph.inc_times[q]))
         exact = approx = None
         if "egr" in algs:
             t0 = time.perf_counter()
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--q", dest="queries", action="append", required=True,
                          help="query vertex label (repeatable)")
     p_query.add_argument("--alg", choices=ALGORITHMS, default="egr")
-    p_query.add_argument("--alpha", type=float, default=0.2)
+    p_query.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_query.add_argument("--k", type=int, default=None, help="core order (baseline)")
     p_query.add_argument("--json", action="store_true", help="JSON on stdout")
     p_query.set_defaults(func=cmd_query)
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--graph", required=True)
     p_bench.add_argument("--samples", type=int, default=50)
     p_bench.add_argument("--algs", default="egr,als")
-    p_bench.add_argument("--alpha", type=float, default=0.2)
+    p_bench.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--stratified", action="store_true",
                          help="sample by temporal-occurrence rank")

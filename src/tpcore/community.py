@@ -41,7 +41,7 @@ def proximity_degree(scores, graph: TemporalGraph, space, u: int) -> float:
     they were reached, which brute force's tie union and ``md`` rely on.
     """
     vals = scores.per_vertex if isinstance(scores, ScoreVector) else scores
-    return math.fsum(vals[v] for v in graph.adj[u] if v in space)
+    return math.fsum([vals[v] for v in graph.adj[u] if v in space])
 
 
 def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -> float:
@@ -51,15 +51,15 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
 
 
 def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
-          universe: Sequence[int]) -> tuple[set[int], float]:
+          universe: Sequence[int]) -> tuple[set[int], float] | None:
     """Greedy removal of minimum-degree vertices inside ``universe``.
 
-    One component of the universe must hold every query, as in the flood's
-    taken sets and ``local.reduce_stage``'s universes.  Returns the best
-    snapshot (the universe less the removals before the best round) and its
-    minimum degree, all degrees taken inside the universe.  The queries'
-    component of it has the same minimum, or the component's own first
-    extraction, later and with the queries still joined, would have won.
+    The universe holds every query.  Returns the best snapshot (the universe
+    less the removals before the best round) and its minimum degree, all
+    degrees taken inside the universe, or None if no component of the
+    universe holds every query.  The queries' component of the snapshot has
+    the same minimum, or the component's own first extraction, later and with
+    the queries still joined, would have won.
     Ties extract the smallest vertex id with query vertices deferred last;
     extracting a query ends the loop (its degree still competes for the best
     snapshot, otherwise the reported optimum would go stale when the query
@@ -103,6 +103,8 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
                     heapq.heappush(heap, (rho[v], v in qset, v))
 
     last = graph.last_connected_round(universe, removal_log, queries)
+    if last < 0:
+        return None
     best_beta = max(round_degrees[:last + 1])
     return exact.keys() - removal_log[:round_degrees.index(best_beta)], best_beta
 

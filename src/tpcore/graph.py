@@ -7,10 +7,10 @@ random walk underlying the proximity scores moves over *out-states*, the two
 directed copies of each edge: out-state s belongs to edge s >> 1, runs from u
 to v when s is even and from v to u when s is odd, and its reverse is s ^ 1.
 So state ids follow the time-sorted stream.  ``state_tail[s]`` is the vertex
-out-state s arrives at and ``state_time[s]`` its time; the stream's
-``edge_list`` is made from them on first access.  Each vertex u keeps, in
-stream order, ``inc_states[u]``, the out-states leaving u, and
-``inc_times[u]``, their timestamps; ``adj[u]`` lists its neighbours.
+out-state s arrives at and ``state_time[s]`` its time; these two lists are the
+only copy of the stream.  Each vertex u keeps, in stream order,
+``inc_states[u]``, the out-states leaving u, and ``inc_times[u]``, their
+timestamps; ``adj[u]`` lists its neighbours.
 From a state the walk may continue along any out-state leaving its arrival
 vertex at a strictly later time; a state with no such continuation is
 dangling and is modelled with a probability-1 self-loop.
@@ -38,7 +38,6 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Iterable, Sequence, TextIO
@@ -137,11 +136,10 @@ class TemporalGraph:
 
     Built from "u v t" records by its one constructor; ``parse_edge_stream``,
     ``load_edge_stream`` and ``from_triples`` only feed it.  Construction is
-    single-threaded.  Afterwards only two parts are written lazily: the
-    per-state memo of transition denominators, ``state_denom``, and the cached
-    ``edge_list``.  Every value written there is fixed by the graph, so racing
-    writers write equal values and the instance is safe to share across
-    concurrent queries.
+    single-threaded.  Afterwards only the per-state memo of transition
+    denominators, ``state_denom``, is written, lazily.  Every value written
+    there is fixed by the graph, so racing writers write equal values and the
+    instance is safe to share across concurrent queries.
     """
 
     @_collector_paused()
@@ -186,8 +184,8 @@ class TemporalGraph:
         self.adj: list[list[int]] = list(map(sorted, map(set, _split(list(map(
             self.state_tail.__getitem__, chain.from_iterable(self.inc_states))), cuts))))
         self.m_static = sum(map(len, self.adj)) // 2
-        self.occurrence: list[int] = list(map(len, map(set, self.inc_times)))
-        self.t_max_occurrence = max(self.occurrence)
+        # the most distinct timestamps on the edges of one vertex
+        self.t_max_occurrence = max(map(len, map(set, self.inc_times)))
         # the transition denominator of each out-state, filled in by ``propagate``
         self.state_denom: list[float | None] = [None] * (2 * self.m)
 
@@ -197,15 +195,6 @@ class TemporalGraph:
         return cls(triples)
 
     # ---- transitions -----------------------------------------------------
-
-    @cached_property
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        """The time-sorted stream of (u, v, t), built on first access."""
-        return list(zip(self.state_tail[1::2], self.state_tail[0::2], self.state_time[0::2]))
-
-    def arrival(self, s: int) -> tuple[int, int]:
-        """(vertex, time) at which out-state ``s`` arrives."""
-        return self.state_tail[s], self.state_time[s]
 
     def denominator(self, u: int, t0: int) -> float:
         """Normalizer of the walk leaving u after time t0, computed afresh.
@@ -219,10 +208,6 @@ class TemporalGraph:
         return math.fsum([1.0 / (t - t0) for t in times[bisect_right(times, t0):]])
 
     # ---- de-temporal operations --------------------------------------------
-
-    def temporal_occurrence(self, u: int) -> int:
-        """Number of distinct timestamps among edges incident to u."""
-        return self.occurrence[u]
 
     def connected_component(self, subset: Iterable[int], q: int) -> set[int]:
         """Vertex set of the component of the induced de-temporal subgraph containing q."""
@@ -238,29 +223,6 @@ class TemporalGraph:
                     seen.add(v)
                     frontier.append(v)
         return seen
-
-    def co_connected(self, subset: Iterable[int], queries: Sequence[int]) -> bool:
-        """True iff one component of the induced subgraph holds every query vertex.
-
-        A breadth-first search from the first query stops as soon as it has
-        reached them all, so nearby queries cost a few rows, not the
-        component.  A ``range`` subset is tested for membership as it is.
-        """
-        members = subset if isinstance(subset, (set, frozenset, range)) else set(subset)
-        if any(q not in members for q in queries):
-            return False
-        missing = set(queries).difference(queries[:1])
-        order = [queries[0]]
-        seen = {queries[0]}
-        for u in order:  # grows while it is read: a breadth-first queue
-            if not missing:
-                break
-            for v in self.adj[u]:
-                if v in members and v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    missing.discard(v)
-        return not missing
 
     def last_connected_round(self, universe: Iterable[int], removal_log: Sequence[int],
                              queries: Sequence[int]) -> int:
@@ -298,21 +260,6 @@ class TemporalGraph:
             k -= 1
             join(removal_log[k])
         return k
-
-    # ---- misc ----------------------------------------------------------------
-
-    def vertex(self, label: str) -> int | None:
-        return self.index.get(label)
-
-    def triple(self, e: int) -> tuple[str, str, int]:
-        tail = self.state_tail
-        return self.labels[tail[2 * e + 1]], self.labels[tail[2 * e]], self.state_time[2 * e]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TemporalGraph):
-            return NotImplemented
-        return (self.labels == other.labels and self.state_tail == other.state_tail
-                and self.state_time == other.state_time)
 
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.n}, m={self.m}, m_static={self.m_static}, "

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .community import _peel
+from .community import _peel, proximity_degree
 from .errors import QueriesDisconnected, QueryNotInSet
 from .graph import TemporalGraph
 from .pagerank import PushState, QueryContext, drain, propagate, seed_state
@@ -54,16 +54,16 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     minimum-degree estimate seen so far; for a query set the estimate counts
     only once the expanded set joins every query, since before that it bounds
     no community that holds them all.  When the whole frontier falls below
-    that estimate it is merged in and expansion stops.  The state records the
-    pushes made and the re-pushes among them.  ``inspect`` (tests) is called
-    after every pop and its re-push with the push state, expanded list,
-    visited set, and estimate.
+    that estimate it is merged in and expansion stops.  While the queries'
+    search trees are apart the estimate stays 0, so nothing is pruned and the
+    expansion reaches every vertex of their components; if it ends with the
+    trees still apart, the queries lie in different components and
+    QueriesDisconnected is raised.  The state records the pushes made and the
+    re-pushes among them.  ``inspect`` (tests) is called after every pop and
+    its re-push with the push state, expanded list, visited set, and estimate.
     """
     queries = ctx.queries
     state = seed_state(graph, ctx)
-    if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
-        raise QueriesDisconnected("query vertices lie in different components")
-
     adj = graph.adj
     inc_states = graph.inc_states
     lower = state.lower
@@ -183,6 +183,8 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 break
         if inspect is not None:
             inspect(state, expanded, visited, beta_hat)
+    if trees_left > 1:
+        raise QueriesDisconnected("query vertices lie in different components")
     state.pushes, state.repushes = pushes, repushes
     return expanded, state
 
@@ -234,9 +236,11 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     (``community._peel``, exact integer degrees) of the expanded vertices
     holding settled mass, and of the queries, on the lower bounds finds the
     best minimum degree beta_p of a set that joins the queries; if those
-    vertices do not join the queries, the whole expanded set is peeled.  A
-    massless vertex adds 0 to every degree, so each expanded one whose degree
-    into the kept set reaches beta_p is re-admitted; it can join kept parts.
+    vertices do not join the queries (the peel returns None), the whole
+    expanded set is peeled, and if that does not join them either,
+    QueriesDisconnected is raised.  A massless vertex adds 0 to every degree,
+    so each expanded one whose degree into the kept set reaches beta_p is
+    re-admitted; it can join kept parts.
     The answer is the queries' component, with beta_lower = beta_p and
     epsilon = temp / beta_p (at least 1), rounded up so that
     epsilon * beta_lower >= temp holds in floats.  If beta_p is 0 the push is
@@ -248,19 +252,19 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     # memory of one grown from the list, and every result keeps it
     explored = frozenset(set(expanded))
     lower = state.lower
-    adj = graph.adj
     for q in queries:
         if q not in explored:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
-    temp = min(math.fsum([lower[v] for v in adj[q] if v in explored])
-               for q in queries) + state.residue_total
-    universe = [u for u in expanded if lower[u] > 0.0 or u in queries]
-    if not graph.co_connected(universe, queries):
-        universe = expanded
-    kept, beta = _peel(graph, lower, queries, universe)
+    temp = min(proximity_degree(lower, graph, explored, q) for q in queries)
+    temp += state.residue_total
+    settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
+    peeled = _peel(graph, lower, queries, settled) or _peel(graph, lower, queries, expanded)
+    if peeled is None:
+        raise QueriesDisconnected("the expanded set does not join the query vertices")
+    kept, beta = peeled
     if beta > 0.0:
         kept.update([u for u in expanded if lower[u] == 0.0 and u not in kept
-                     and math.fsum([lower[v] for v in adj[u] if v in kept]) >= beta])
+                     and proximity_degree(lower, graph, kept, u) >= beta])
         epsilon, fallback = max(1.0, temp / beta), False
         while epsilon * beta < temp:
             epsilon = math.nextafter(epsilon, math.inf)

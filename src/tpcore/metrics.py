@@ -67,11 +67,6 @@ def temporal_conductance(graph: TemporalGraph, subset: Iterable[int]) -> float:
     return _conductance(graph, _incidence(graph, set(subset)))
 
 
-def min_degree_metric(scores, graph: TemporalGraph, subset: Iterable[int]) -> float:
-    """Minimum proximity-weighted degree inside the set; 0 for singletons."""
-    return min_proximity_degree(scores, graph, subset)
-
-
 @dataclass
 class MetricReport:
     td: float
@@ -91,7 +86,7 @@ def community_report(graph: TemporalGraph, scores, subset: Iterable[int]) -> Met
     return MetricReport(
         td=_density(len(members), inc),
         tc=_conductance(graph, inc),
-        md=min_degree_metric(scores, graph, members),
+        md=min_proximity_degree(scores, graph, members),
         size=len(members),
         internal_times=len(inc.times),
     )

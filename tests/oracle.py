@@ -1,8 +1,13 @@
 """Reference views of a temporal graph, kept for tests.
 
-Everything here is computed from ``edge_list`` alone, one edge at a time, so
-tests can check the library's layout, built by whole-stream passes, and its
-metrics against it.
+Everything here is computed from the stream of (u, v, t) edges alone, one
+edge at a time, so tests can check the library's layout, built by
+whole-stream passes, and its metrics against it.  The graph keeps the stream
+only as its per-state lists ``state_tail`` and ``state_time``; ``stream_edge``
+and ``edge_list`` read the edges off them, ``triple`` reads one edge's
+labels, ``arrival`` one state's (vertex, time), and ``same_graph`` compares
+two graphs by their labels and stream.  ``joins`` tells whether one component
+of a vertex set holds every query.
 Out-state 2e of edge e = (u, v, t) runs from head u to tail v; 2e+1 runs
 back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
@@ -32,6 +37,40 @@ from tpcore.local import BOUND_SLACK
 from tpcore.pagerank import propagate, seed_state
 
 
+def stream_edge(g: TemporalGraph, e: int) -> tuple[int, int, int]:
+    """Edge e of the time-sorted stream as (u, v, t): state 2e runs from u to v."""
+    return g.state_tail[2 * e + 1], g.state_tail[2 * e], g.state_time[2 * e]
+
+
+def edge_list(g: TemporalGraph) -> list[tuple[int, int, int]]:
+    """The time-sorted stream of (u, v, t)."""
+    return [stream_edge(g, e) for e in range(g.m)]
+
+
+def triple(g: TemporalGraph, e: int) -> tuple[str, str, int]:
+    """Edge e of the stream as (u_label, v_label, t)."""
+    u, v, t = stream_edge(g, e)
+    return g.labels[u], g.labels[v], t
+
+
+def arrival(g: TemporalGraph, s: int) -> tuple[int, int]:
+    """(vertex, time) at which out-state ``s`` arrives."""
+    return g.state_tail[s], g.state_time[s]
+
+
+def same_graph(g: TemporalGraph, h: TemporalGraph) -> bool:
+    """True iff the two graphs have the same labels and the same stream."""
+    return (g.labels == h.labels and g.state_tail == h.state_tail
+            and g.state_time == h.state_time)
+
+
+def joins(g: TemporalGraph, subset, queries: Sequence[int]) -> bool:
+    """True iff one component of the subgraph induced by ``subset`` holds every query."""
+    members = set(subset)
+    return (members.issuperset(queries)
+            and g.connected_component(members, queries[0]).issuperset(queries))
+
+
 class OrderedEdge(NamedTuple):
     """Directed copy of a temporal edge; ``forward`` means head is the stored u."""
 
@@ -44,17 +83,17 @@ class OrderedEdge(NamedTuple):
 
 
 def head(g: TemporalGraph, e: OrderedEdge) -> int:
-    u, v, _ = g.edge_list[e.edge]
+    u, v, _ = stream_edge(g, e.edge)
     return u if e.forward else v
 
 
 def tail(g: TemporalGraph, e: OrderedEdge) -> int:
-    u, v, _ = g.edge_list[e.edge]
+    u, v, _ = stream_edge(g, e.edge)
     return v if e.forward else u
 
 
 def time(g: TemporalGraph, e: OrderedEdge) -> int:
-    return g.edge_list[e.edge][2]
+    return stream_edge(g, e.edge)[2]
 
 
 def ordered_edges(g: TemporalGraph) -> list[OrderedEdge]:
@@ -75,7 +114,7 @@ def dangling(g: TemporalGraph, e: OrderedEdge) -> bool:
 def successors(g: TemporalGraph, e: OrderedEdge) -> list[OrderedEdge]:
     """Ordered edges leaving tail(e) at a strictly later time (empty iff dangling)."""
     u, t = tail(g, e), time(g, e)
-    return [OrderedEdge(j, a == u) for j, (a, b, tj) in enumerate(g.edge_list)
+    return [OrderedEdge(j, a == u) for j, (a, b, tj) in enumerate(edge_list(g))
             if u in (a, b) and tj > t]
 
 
@@ -114,7 +153,7 @@ def stop_dict_pagerank(g: TemporalGraph, ctx: QueryContext) -> np.ndarray:
         return keep * sum(mass / ((t - t1) * denominator(x, t1))
                           for t1, mass in src.items() if t1 < t)
 
-    for u, v, t in g.edge_list:
+    for u, v, t in edge_list(g):
         du, dv = stop[u], stop[v]
         dv[t] = dv.get(t, 0.0) + forward(du, u, t) + seed[u]
         du[t] = du.get(t, 0.0) + forward(dv, v, t) + seed[v]
@@ -132,7 +171,7 @@ def reference_layout(g: TemporalGraph) -> dict:
     """Incidence, adjacency and per-vertex counts built by one loop over the stream."""
     inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e, (u, v, t) in enumerate(g.edge_list):
+    for e, (u, v, t) in enumerate(edge_list(g)):
         inc[u].append((t, 2 * e))
         inc[v].append((t, 2 * e + 1))
         adj[u].add(v)
@@ -148,19 +187,19 @@ def reference_layout(g: TemporalGraph) -> dict:
 
 
 def library_layout(g: TemporalGraph) -> dict:
-    """The same fields as ``reference_layout``, read off the library's graph."""
+    """The fields of ``reference_layout`` that the library's graph keeps, read
+    off it; the graph keeps only the largest occurrence, ``t_max_occurrence``."""
     return {
         "inc_times": g.inc_times,
         "inc_states": g.inc_states,
         "adj": g.adj,
-        "occurrence": g.occurrence,
         "m_static": g.m_static,
     }
 
 
 def reference_metrics(g: TemporalGraph, subset) -> tuple[float, float, int]:
     """(temporal density, temporal conductance, internal times) by masks over all m edges."""
-    cols = np.array(g.edge_list, dtype=np.int64).reshape(g.m, 3)
+    cols = np.array(edge_list(g), dtype=np.int64).reshape(g.m, 3)
     edge_u, edge_v, edge_t = cols[:, 0], cols[:, 1], cols[:, 2]
     mask = np.zeros(g.n, dtype=bool)
     mask[list(subset)] = True
@@ -263,7 +302,8 @@ def reference_kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) ->
 # names, the call between them, `time` imported as `_time` here, and the
 # peel's heap keys: exact integers over a common power-of-two denominator in
 # place of float degrees decremented per removal, which drift by an ulp and
-# can extract a vertex above the true minimum.
+# can extract a vertex above the true minimum.  The up-front test that one
+# component holds every query is `joins` here, since the graph no longer has one.
 
 def reference_peel(graph: TemporalGraph, values: np.ndarray,
                    queries: Sequence[int]) -> tuple[set[int], float]:
@@ -327,7 +367,7 @@ def reference_exact_community(graph: TemporalGraph, ctx: QueryContext) -> Commun
 
     Peeling stops once the query set would split or shrink.
     """
-    if len(ctx.queries) > 1 and not graph.co_connected(range(graph.n), ctx.queries):
+    if len(ctx.queries) > 1 and not joins(graph, range(graph.n), ctx.queries):
         raise QueriesDisconnected("query vertices lie in different components")
     t0 = _time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
@@ -353,7 +393,8 @@ def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tup
 # ---- the expansion as first written, as a reference ----------------------------
 # It pushes a vertex's out-states once, when the vertex pops; the library's
 # version also re-pushes mass that lands on them later.  The body is
-# unchanged, except for the name.
+# unchanged, except for the name and the up-front test that one component
+# holds every query, which is `joins` here.
 
 def reference_expand(graph: TemporalGraph, ctx: QueryContext,
                      inspect: Callable[[PushState, list[int], set[int], float], None]
@@ -371,7 +412,7 @@ def reference_expand(graph: TemporalGraph, ctx: QueryContext,
     """
     queries = ctx.queries
     state = seed_state(graph, ctx)
-    if len(queries) > 1 and not graph.co_connected(range(graph.n), queries):
+    if len(queries) > 1 and not joins(graph, range(graph.n), queries):
         raise QueriesDisconnected("query vertices lie in different components")
 
     lower = state.lower

@@ -13,7 +13,7 @@ import numpy as np
 from tpcore import (QueryContext, TemporalGraph, brute_force_search,
                     exact_community, exact_community_multi,
                     expand, local_search, local_search_multi,
-                    min_degree_metric, power_iteration_pagerank,
+                    min_proximity_degree, power_iteration_pagerank,
                     proximity_degree, temporal_conductance, temporal_density,
                     temporal_pagerank, temporal_pagerank_multi)
 from tpcore.synth import SynthConfig, synth_graph
@@ -260,7 +260,7 @@ def test_criterion_10_metric_fixtures():
     for g, ctx in ((tri, tri_ctx), (chain, chain_ctx)):
         res = exact_community(g, ctx)
         checks.append((f"MD == beta on {g.labels}",
-                       min_degree_metric(res.scores, g, res.members) == res.beta))
+                       min_proximity_degree(res.scores, g, res.members) == res.beta))
     ok = all(passed for _, passed in checks)
     failed = [name for name, passed in checks if not passed]
     verdict(10, ok, "all metric fixtures exact" if ok else f"failed: {failed}")

@@ -192,8 +192,8 @@ def test_exact_matches_whole_graph_peel_sweep():
                 stats = res.stats
                 outcomes["answer"] += 1
                 outcomes["zero_bound"] += stats["bound"] == 0.0
-                outcomes["far_apart"] += not g.co_connected(two_hop(g, ctx.queries),
-                                                            ctx.queries)
+                outcomes["far_apart"] += not oracle.joins(g, two_hop(g, ctx.queries),
+                                                          ctx.queries)
                 outcomes["final_peel"] += stats["region"] > stats["bound_set"]
             else:
                 outcomes["error"] += 1
@@ -316,8 +316,8 @@ def test_exact_joins_far_queries_in_a_small_region():
     checked = 0
     while checked < 10:
         queries = tuple(rng.sample(range(g.n), 2 + checked % 2))
-        if (g.co_connected(two_hop(g, queries), queries)
-                or not g.co_connected(range(g.n), queries)):
+        if (oracle.joins(g, two_hop(g, queries), queries)
+                or not oracle.joins(g, range(g.n), queries)):
             continue
         ctx = QueryContext(queries, 0.2)
         res = exact_community(g, ctx)

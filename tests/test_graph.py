@@ -12,18 +12,18 @@ from hypothesis import given
 
 import tpcore
 from tpcore import (EmptyGraph, MalformedLine, QueryContext, QueryNotInSet, SynthConfig,
-                    TemporalGraph, community_report, exact_community, load_edge_stream,
-                    local_search, parse_edge_stream, power_iteration_pagerank, synth_triples,
-                    temporal_pagerank)
+                    TemporalGraph, load_edge_stream, parse_edge_stream,
+                    power_iteration_pagerank, synth_triples, temporal_pagerank)
+from tpcore.cli import stratified_queries
 from tpcore.graph import format_edge_stream
 from tests import oracle
-from tests.conftest import CountedReads, graph_strategy, random_temporal_graph
+from tests.conftest import graph_strategy, random_temporal_graph
 from tests.oracle import OrderedEdge
 
 
 def dump_edge_stream(graph, sink):
     """Write the graph back out in stream (time-sorted) order."""
-    sink.write(format_edge_stream(graph.triple(e) for e in range(graph.m)))
+    sink.write(format_edge_stream(oracle.triple(graph, e) for e in range(graph.m)))
 
 
 def dumps_edge_stream(graph):
@@ -35,7 +35,7 @@ def dumps_edge_stream(graph):
 def edge(graph, u_lab, v_lab, t):
     """The ordered edge <u, v, t> of a stored triple, in either storage order."""
     u, v = graph.index[u_lab], graph.index[v_lab]
-    for e, (a, b, tt) in enumerate(graph.edge_list):
+    for e, (a, b, tt) in enumerate(oracle.edge_list(graph)):
         if tt == t and {a, b} == {u, v}:
             return OrderedEdge(e, a == u)
     raise AssertionError("edge not found")
@@ -93,7 +93,7 @@ def test_comments_and_blank_lines_ignored():
 
 def test_unsorted_input_is_sorted():
     g = parse_edge_stream(["a b 5", "q a 1"])
-    assert [t for _, _, t in g.edge_list] == [1, 5]
+    assert [t for _, _, t in oracle.edge_list(g)] == [1, 5]
     # unsorted triples are sorted too, so the walk c -> b at 1, b -> a at 5
     # is not cut short: b keeps the stop share and a the rest (power
     # iteration stops a few 1e-12 short of the mass)
@@ -108,7 +108,7 @@ def test_unsorted_input_is_sorted():
 def test_labels_numbered_by_first_appearance_in_the_sorted_stream():
     g = parse_edge_stream(["c d 5", "b c 1", "a b 1"])
     assert g.labels == ["b", "c", "a", "d"]
-    assert g.edge_list == [(0, 1, 1), (2, 0, 1), (1, 3, 5)]
+    assert oracle.edge_list(g) == [(0, 1, 1), (2, 0, 1), (1, 3, 5)]
 
 
 def test_triples_pass_the_line_checks():
@@ -118,14 +118,14 @@ def test_triples_pass_the_line_checks():
     with pytest.raises(MalformedLine):
         TemporalGraph.from_triples([("q", "a")])
     g = TemporalGraph.from_triples([("q", "a", "3"), ("a", "q", 3), ("b", "b", 1)])
-    assert g.edge_list == [(0, 1, 3)]
+    assert oracle.edge_list(g) == [(0, 1, 3)]
     assert (g.report.duplicates, g.report.self_loops) == (1, 1)
 
 
 def test_round_trip_identical():
     g = parse_edge_stream(["b c 7", "a b 5", "q a 1", "q c 5"])
     g2 = parse_edge_stream(io.StringIO(dumps_edge_stream(g)))
-    assert g == g2
+    assert oracle.same_graph(g, g2)
     assert g.labels == g2.labels
 
 
@@ -165,18 +165,19 @@ def test_loading_pauses_the_collector():
 
 @given(graph_strategy())
 def test_incidence_and_adjacency_invariants(g):
-    assert all(g.edge_list[i][2] <= g.edge_list[i + 1][2] for i in range(g.m - 1))
+    stream = oracle.edge_list(g)
+    assert all(stream[i][2] <= stream[i + 1][2] for i in range(g.m - 1))
     assert sum(len(ts) for ts in g.inc_times) == 2 * g.m
     for u in range(g.n):
         for v in g.adj[u]:
             assert u in g.adj[v]
-        assert g.temporal_occurrence(u) <= len(g.inc_times[u])
-    assert g.t_max_occurrence == max(g.temporal_occurrence(u) for u in range(g.n))
+    assert g.t_max_occurrence == max(len(set(ts)) for ts in g.inc_times)
 
 
 def check_layout(g):
-    assert oracle.library_layout(g) == oracle.reference_layout(g)
-    assert g.t_max_occurrence == max(oracle.reference_layout(g)["occurrence"])
+    want = oracle.reference_layout(g)
+    assert g.t_max_occurrence == max(want.pop("occurrence"))
+    assert oracle.library_layout(g) == want
 
 
 def test_layout_matches_per_edge_build():
@@ -189,19 +190,20 @@ def test_layout_at_the_timestamp_limits():
     top = 2**63 - 1
     g = parse_edge_stream([f"b c {top}", "a b 0", f"a c {top}", "c d 0", f"b d {top}"])
     check_layout(g)
-    assert [t for _, _, t in g.edge_list] == [0, 0, top, top, top]
+    assert [t for _, _, t in oracle.edge_list(g)] == [0, 0, top, top, top]
     assert g.inc_times[g.index["b"]] == [0, top, top]
     assert [ts[-1] for ts in g.inc_times] == [top] * 4
-    assert [int(c) for c in g.occurrence] == [2, 2, 2, 2]
+    assert oracle.reference_layout(g)["occurrence"] == [2, 2, 2, 2]
     assert g.denominator(g.index["b"], 0) == 2.0 / top
-    assert parse_edge_stream(io.StringIO(dumps_edge_stream(g))) == g
+    assert oracle.same_graph(parse_edge_stream(io.StringIO(dumps_edge_stream(g))), g)
 
 
 def test_out_states_follow_the_stream():
     g = parse_edge_stream(["q a 1", "q b 1", "a b 2"])
     q, a, b = (g.index[x] for x in "qab")
     assert (g.inc_states[q], g.inc_states[a], g.inc_states[b]) == ([0, 2], [1, 4], [3, 5])
-    assert [g.arrival(s) for s in range(6)] == [(a, 1), (q, 1), (b, 1), (q, 1), (b, 2), (a, 2)]
+    assert [oracle.arrival(g, s) for s in range(6)] == [
+        (a, 1), (q, 1), (b, 1), (q, 1), (b, 2), (a, 2)]
 
 
 def messy_triples(rng, top):
@@ -230,26 +232,10 @@ def test_per_state_lists_match_the_cleaned_stream():
                 if u != v:
                     kept.setdefault((min(u, v), max(u, v), t), (u, v, t))
             want = sorted(kept.values(), key=lambda e: e[2])
-            assert [g.triple(e) for e in range(g.m)] == want
+            assert [oracle.triple(g, e) for e in range(g.m)] == want
             assert len(g.state_tail) == len(g.state_time) == 2 * g.m
-            for e, (u, v, t) in enumerate(g.edge_list):
-                assert (g.state_tail[2 * e], g.state_tail[2 * e + 1]) == (v, u)
-                assert g.state_time[2 * e] == g.state_time[2 * e + 1] == t
-            assert [g.arrival(s) for s in range(2 * g.m)] == list(
-                zip(g.state_tail, g.state_time))
+            assert g.state_time[0::2] == g.state_time[1::2]  # a state and its reverse
             assert g.state_denom == [None] * (2 * g.m)
-
-
-def test_searches_never_build_the_edge_tuples():
-    g = parse_edge_stream(format_edge_stream(messy_triples(random.Random(17), 2**63 - 1))
-                          .splitlines())
-    assert "edge_list" not in g.__dict__
-    ctx = QueryContext.single(0)
-    exact = exact_community(g, ctx)
-    local_search(g, ctx)
-    community_report(g, exact.scores, exact.members)
-    assert "edge_list" not in g.__dict__
-    assert g.edge_list is g.edge_list  # built once, on first access
 
 
 def test_load_peak_stays_near_what_the_graph_keeps():
@@ -385,28 +371,9 @@ def test_connected_component(tri, chain3):
         chain3.connected_component({ca, cb}, cq)
 
 
-def test_co_connected_stops_once_every_query_is_reached():
-    g = TemporalGraph.from_triples([(f"v{i}", f"v{i + 1}", i % 40 + 1) for i in range(5999)])
-    queries = (g.index["v3000"], g.index["v3001"])
-    reads = [0]
-    g.adj = CountedReads(g.adj, reads)
-    assert g.co_connected(range(g.n), queries)
-    assert reads[0] <= 10  # the whole component is 6,000 rows
-
-
-def test_co_connected_matches_the_component():
-    rng = random.Random(8)
-    for _ in range(200):
-        g = random_temporal_graph(rng, n_max=15, m_max=30, t_max=10)
-        subset = {u for u in range(g.n) if rng.random() < 0.7}
-        queries = tuple(rng.sample(range(g.n), min(g.n, rng.randint(1, 3))))
-        want = (queries[0] in subset
-                and set(queries) <= g.connected_component(subset, queries[0]))
-        assert g.co_connected(subset, queries) == want
-        assert g.co_connected(range(g.n), queries) == g.co_connected(set(range(g.n)), queries)
-
-
 def test_temporal_occurrence(tri, chain3):
-    assert tri.temporal_occurrence(tri.index["q"]) == 1
-    assert tri.temporal_occurrence(tri.index["a"]) == 2
-    assert chain3.t_max_occurrence == 2
+    """A vertex's occurrence counts the distinct timestamps on its edges: the
+    graph keeps the largest, and ``tpcore bench --stratified`` ranks by it."""
+    assert tri.t_max_occurrence == chain3.t_max_occurrence == 2
+    q, a, b = (chain3.index[x] for x in "qab")  # occurrences 1, 2, 1
+    assert stratified_queries(chain3, 3) == [q, b, a]

@@ -11,6 +11,8 @@ from tpcore import (PushState, QueriesDisconnected, QueryContext, SynthConfig,
                     local_search, local_search_multi, min_proximity_degree,
                     power_iteration_pagerank, propagate, proximity_degree,
                     reduce_stage, synth_graph, temporal_pagerank)
+from tpcore.community import _peel
+from tpcore.pagerank import seed_state
 from tpcore.cli import stratified_queries
 from tests.conftest import ctx_for, random_temporal_graph
 from tests.oracle import degree_bounds, reference_expand, stop_dict_pagerank
@@ -31,7 +33,7 @@ def test_propagate_chain3_trace(chain3):
     state.residue_total = 1.0
     propagate(state, [qa.state_id], chain3)
     a, b = chain3.index["a"], chain3.index["b"]
-    assert chain3.arrival(qa.state_id)[0] == a
+    assert tests.oracle.arrival(chain3, qa.state_id)[0] == a
     assert state.lower[a] == pytest.approx(0.2, abs=1e-15)
     assert state.residue[ab.state_id] == pytest.approx(0.8, abs=1e-15)
     assert sum(state.lower) + sum(state.residue) == pytest.approx(1.0, abs=1e-15)
@@ -61,7 +63,7 @@ def test_propagate_fires_at_exact_gate(chain3):
     state.residue[qa.state_id] = r
     state.residue_total = r
     propagate(state, [qa.state_id], chain3)
-    a = chain3.arrival(qa.state_id)[0]
+    a = tests.oracle.arrival(chain3, qa.state_id)[0]
     assert state.residue[qa.state_id] == 0.0
     assert state.lower[a] == pytest.approx(0.2 * r, abs=1e-15)
     assert sum(state.lower) + sum(state.residue) == pytest.approx(r, abs=1e-15)
@@ -334,7 +336,7 @@ def test_reduce_keeps_rounds_before_a_middle_split():
     assert labels(g, res.members) == ["a", "b", "p1", "p2", "q1", "q2", "x"]
     assert (res.epsilon, res.epsilon_trace, res.fallback) == (3.5, (3.5,), False)
     assert res.beta_lower == 2.0  # x's degree: a + b
-    assert not g.co_connected(res.members - {g.index["x"]}, ctx.queries)
+    assert not tests.oracle.joins(g, res.members - {g.index["x"]}, ctx.queries)
 
 
 def test_reduce_query_outside_set(tri):
@@ -509,6 +511,43 @@ def test_multi_disconnected():
     g = TemporalGraph.from_triples([("q", "a", 1), ("x", "y", 2)])
     with pytest.raises(QueriesDisconnected):
         local_search(g, QueryContext((g.index["q"], g.index["x"])))
+
+
+@pytest.fixture(scope="module")
+def two_paths():
+    """Two components, each a path of 1,000 vertices: l0 - ... - l999 and r0 - ... - r999."""
+    return TemporalGraph.from_triples([(f"{side}{i}", f"{side}{i + 1}", i % 40 + 1)
+                                       for side in "lr" for i in range(999)])
+
+
+# a pair split across the paths, and a triple with two queries joined and one apart
+SPLIT_SETS = [("l500", "r500"), ("l10", "l11", "r990")]
+
+
+def reduce_everything(g, ctx):
+    return reduce_stage(list(range(g.n)), seed_state(g, ctx), g, ctx)
+
+
+@pytest.mark.parametrize("labs", SPLIT_SETS, ids=["pair", "triple"])
+@pytest.mark.parametrize("solve", [exact_community, local_search, expand, reduce_everything])
+def test_split_query_sets_raise(two_paths, solve, labs):
+    """Each search finds the split itself: egr's flood and als's expansion run
+    out before they take every query, and reduce_stage's peels of the mass and
+    of the whole set both find no component holding every query."""
+    with pytest.raises(QueriesDisconnected):
+        solve(two_paths, QueryContext(tuple(two_paths.index[lab] for lab in labs)))
+
+
+@pytest.mark.parametrize("labs", SPLIT_SETS + [("l10", "l20")], ids=["pair", "triple", "cut"])
+def test_peel_returns_none_when_the_universe_splits_the_queries(two_paths, labs):
+    """The whole graph splits the queries of ``SPLIT_SETS``; dropping l15 from
+    the universe splits l10 from l20, which the graph joins."""
+    g = two_paths
+    queries = tuple(g.index[lab] for lab in labs)
+    values = temporal_pagerank(g, QueryContext(queries[:1])).per_vertex
+    universe = [u for u in range(g.n) if g.labels[u] != "l15"]
+    assert _peel(g, values, queries, universe) is None
+    assert (_peel(g, values, queries, range(g.n)) is None) == (labs in SPLIT_SETS)
 
 
 def test_multi_guarantee():

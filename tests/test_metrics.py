@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tpcore import (QueryContext, community_report, exact_community,
-                    min_degree_metric, temporal_conductance, temporal_density,
+                    min_proximity_degree, temporal_conductance, temporal_density,
                     temporal_pagerank)
 from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
@@ -69,10 +69,11 @@ def test_density_range(g, data):
 
 def test_min_degree_fixtures(tri, chain3):
     s_tri = temporal_pagerank(tri, ctx_for(tri))
-    assert min_degree_metric(s_tri, tri, set(range(tri.n))) == pytest.approx(0.5, abs=1e-12)
-    assert min_degree_metric(s_tri, tri, ids(tri, "q")) == 0.0
+    assert min_proximity_degree(s_tri, tri, set(range(tri.n))) == pytest.approx(0.5, abs=1e-12)
+    assert min_proximity_degree(s_tri, tri, ids(tri, "q")) == 0.0
     s_chain = temporal_pagerank(chain3, ctx_for(chain3))
-    assert min_degree_metric(s_chain, chain3, set(range(chain3.n))) == pytest.approx(0.2, abs=1e-12)
+    assert min_proximity_degree(s_chain, chain3, set(range(chain3.n))) == pytest.approx(
+        0.2, abs=1e-12)
 
 
 def test_min_degree_equals_reported_beta_exactly():
@@ -81,7 +82,7 @@ def test_min_degree_equals_reported_beta_exactly():
         g = random_temporal_graph(rng)
         ctx = QueryContext.single(rng.randrange(g.n))
         res = exact_community(g, ctx)
-        assert min_degree_metric(res.scores, g, res.members) == res.beta
+        assert min_proximity_degree(res.scores, g, res.members) == res.beta
 
 
 def test_community_report(tri):

@@ -1,4 +1,5 @@
-"""The experiment scripts still run against the library, on tiny inputs."""
+"""The experiment scripts still run against the library, on tiny inputs, and
+the library keeps every name the benchmark harness calls."""
 import importlib.util
 import json
 import os
@@ -58,3 +59,37 @@ def test_bench_record_assembles_perfbench_lines():
     assert json.loads(json.dumps(record)) == record
     with pytest.raises(ValueError):
         rec.last_json_line("\n")
+
+
+def test_names_perfbench_calls_still_exist(tmp_path):
+    """perfbench/ cannot change with the library, so each name it calls or
+    reads (ROADMAP, "What perfbench pins") must stay, with the same shape."""
+    import numpy as np
+
+    import tpcore
+    from tpcore.cli import main
+
+    path = tmp_path / "g.txt"
+    path.write_text("q a 1\nq b 1\na b 2\n")
+    g = tpcore.load_edge_stream(str(path))
+    assert (g.n, g.m, g.m_static, g.t_max_occurrence) == (3, 3, 3, 2)
+    assert tpcore.TemporalGraph.from_triples([("q", "a", 1)]).labels == ["q", "a"]
+    ctx = tpcore.QueryContext(tuple(g.index[lab] for lab in ("q", "a")), 0.2)
+    egr = tpcore.exact_community_multi(g, ctx)
+    als = tpcore.local_search_multi(g, ctx)
+    scores = tpcore.temporal_pagerank_multi(g, ctx)
+    assert isinstance(scores.values, np.ndarray)
+    assert (scores.values == egr.scores.values).all()
+    expanded, state = tpcore.expand(g, ctx)
+    reduced = tpcore.reduce_stage(expanded, state, g, ctx)
+    assert (reduced.members, reduced.epsilon) == (als.members, als.epsilon)
+    for res in (egr, als):
+        assert res.timings["search_s"] >= 0.0 and res.labels(g) == ["a", "b", "q"]
+    assert egr.beta > 0.0 and als.beta_lower > 0.0 and als.fallback in (False, True)
+    assert len(als.explored) == g.n and len(als.epsilon_trace) == 1
+    report = tpcore.community_report(g, egr.scores, egr.members)
+    assert (report.size, report.md) == (len(egr.members), egr.beta)
+    assert callable(main)  # perfbench runs it in a child process
+    # the self-test's oracles
+    assert tpcore.power_iteration_pagerank(g, ctx).values.shape == (g.n,)
+    assert tpcore.brute_force_search(g, ctx).members == egr.members
