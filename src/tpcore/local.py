@@ -2,11 +2,12 @@
 
 Stage one runs the forward push of ``pagerank`` (the one that computes the
 exact scores when drained) outward from the query, pushing only the states
-leaving vertices it expands: when each pops, and again, within a work credit
-earned by the expansion's reads, when later pushes leave mass on them.  The
-mass settled per vertex lower-bounds its proximity score, and adding the
-total pending residue gives upper bounds, which prune the expansion while
-guaranteeing the expanded set still covers the exact community.  Stage two
+leaving vertices it expands, the frontier vertex holding the most settled
+mass first: when each pops, and again, within a work credit earned by the
+expansion's reads, when later pushes leave mass on them.  The mass settled
+per vertex lower-bounds its proximity score, and adding the total pending
+residue gives upper bounds, which prune the expansion while guaranteeing the
+expanded set still covers the exact community.  Stage two
 peels the expanded set once, greedily and on the lower bounds, with the
 exact solver's peel; its best minimum degree certifies the ratio of a
 query's degree upper bound to it.  The paper's stage two peels at
@@ -18,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,27 +40,29 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     """Grow a candidate set around the queries that provably covers the exact community.
 
     Seeds each query q's outgoing states with residue 1/(|S| deg q), the start
-    distribution of ``temporal_pagerank``, and breadth-first pops vertices,
-    pushing their out-states.  Mass that a later push settles at an expanded
-    vertex lands on out-states that were already pushed; such fed vertices
-    are pushed again after each pop, in the stream order of their first
-    out-states, while a work credit lasts: the expansion earns one unit per
-    adjacency entry it reads (the popped row and each candidate's admission
-    sum) and a re-push spends one per out-state it scans, so re-pushing costs
-    at most the expansion's own reads plus one vertex's out-states (the
-    residue-threshold push of Andersen, Chung & Lang, 2006).  A neighbor enters
-    the frontier only if its degree upper bound (settled mass around it plus
-    all pending residue, which the re-push lowers) can still reach the best
-    minimum-degree estimate seen so far; for a query set the estimate counts
-    only once the expanded set joins every query, since before that it bounds
-    no community that holds them all.  When the whole frontier falls below
-    that estimate it is merged in and expansion stops.  While the queries'
-    search trees are apart the estimate stays 0, so nothing is pruned and the
-    expansion reaches every vertex of their components; if it ends with the
-    trees still apart, the queries lie in different components and
-    QueriesDisconnected is raised.  The state records the pushes made and the
-    re-pushes among them.  ``inspect`` (tests) is called after every pop and
-    its re-push with the push state, expanded list, visited set, and estimate.
+    distribution of ``temporal_pagerank``, and pops vertices, pushing their
+    out-states: the queries first, then the frontier vertex holding the most
+    settled mass, keyed once when it is admitted.  Mass that a later push
+    settles at an expanded vertex lands on out-states that were already
+    pushed; such fed vertices are pushed again after each pop, in the stream
+    order of their first out-states, while a work credit lasts: the expansion
+    earns one unit per adjacency entry it reads (the popped row and each
+    candidate's admission sum) and a re-push spends one per out-state it
+    scans, so re-pushing costs at most the expansion's own reads plus one
+    vertex's out-states (the residue-threshold push of Andersen, Chung & Lang,
+    2006).  A neighbor enters the frontier only if its degree upper bound
+    (settled mass around it plus all pending residue, which the re-push
+    lowers) can still reach the best minimum-degree estimate seen so far; for
+    a query set the estimate counts only once the expanded set joins every
+    query, since before that it bounds no community that holds them all.
+    When the whole frontier falls below that estimate it is merged in and
+    expansion stops.  While the queries' search trees are apart the estimate
+    stays 0, so nothing is pruned and the expansion reaches every vertex of
+    their components; if it ends with the trees still apart, the queries lie
+    in different components and QueriesDisconnected is raised.  The state
+    records the pushes made, the re-pushes among them and the final estimate.
+    ``inspect`` (tests) is called after every pop and its re-push with the
+    push state, expanded list, visited set, and estimate.
     """
     queries = ctx.queries
     state = seed_state(graph, ctx)
@@ -115,10 +117,12 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     credit = 0
     repushes = 0
     query_set = set(queries)
-    frontier: deque[int] = deque(queries)
+    # most settled mass first, the queries before all: one entry per queued
+    # vertex, keyed at admission (a sorted list is a heap)
+    frontier = sorted((-math.inf, q) for q in queries)
     visited: set[int] = set(queries)
     while frontier:
-        u = frontier.popleft()
+        u = heapq.heappop(frontier)[1]
         queued.discard(u)
         frontier_sum -= lower[u]
         in_expanded.add(u)
@@ -165,7 +169,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 reach += lower[w]
             credit += len(adj[v])
             if reach >= beta_hat - BOUND_SLACK:
-                frontier.append(v)
+                heapq.heappush(frontier, (-lower[v], v))
                 queued.add(v)
                 frontier_sum += lower[v]
                 if trees_left > 1:
@@ -173,7 +177,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         if frontier:
             pending = state.residue_total + frontier_sum
             if pending < beta_hat - BOUND_SLACK:
-                for w in frontier:
+                for _, w in frontier:
                     in_expanded.add(w)
                     expanded.append(w)
                 frontier.clear()
@@ -185,7 +189,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             inspect(state, expanded, visited, beta_hat)
     if trees_left > 1:
         raise QueriesDisconnected("query vertices lie in different components")
-    state.pushes, state.repushes = pushes, repushes
+    state.pushes, state.repushes, state.estimate = pushes, repushes, beta_hat
     return expanded, state
 
 
@@ -207,8 +211,9 @@ class ApproxResult:
     explored: frozenset[int]
     algorithm: str = "als"
     timings: dict[str, float] = field(default_factory=dict)
-    pushes: int = 0
-    repushes: int = 0
+    # the expansion's pushes, re-pushes, pending residue and estimate when it
+    # stopped, and the size of the universe of the reduce peel giving the answer
+    work: dict[str, float] = field(default_factory=dict)
 
     def labels(self, graph: TemporalGraph) -> list[str]:
         return sorted(graph.labels[u] for u in self.members)
@@ -220,10 +225,9 @@ class ApproxResult:
 
     @property
     def stats(self) -> dict[str, object]:
-        """What the search did: vertices explored, the certified level, and
-        the expansion's state pushes and re-pushes."""
+        """What the search did: vertices explored, the certified level, its work."""
         return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace),
-                "pushes": self.pushes, "repushes": self.repushes}
+                **self.work}
 
 
 def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph,
@@ -255,26 +259,30 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     for q in queries:
         if q not in explored:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
-    temp = min(proximity_degree(lower, graph, explored, q) for q in queries)
-    temp += state.residue_total
+    residue = state.residue_total
+    temp = min(proximity_degree(lower, graph, explored, q) for q in queries) + residue
     settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
-    peeled = _peel(graph, lower, queries, settled) or _peel(graph, lower, queries, expanded)
+    peeled = (_peel(graph, lower, queries, universe := settled)
+              or _peel(graph, lower, queries, universe := expanded))
     if peeled is None:
         raise QueriesDisconnected("the expanded set does not join the query vertices")
     kept, beta = peeled
     if beta > 0.0:
-        kept.update([u for u in expanded if lower[u] == 0.0 and u not in kept
+        # a re-admitted vertex has degree >= beta > 0 into kept, so it borders kept
+        border = {w for u in kept for w in graph.adj[u]} - kept
+        kept.update([u for u in border if lower[u] == 0.0 and u in explored
                      and proximity_degree(lower, graph, kept, u) >= beta])
         epsilon, fallback = max(1.0, temp / beta), False
         while epsilon * beta < temp:
             epsilon = math.nextafter(epsilon, math.inf)
     else:
         drain(state, graph)
-        kept, beta = _peel(graph, lower, queries, expanded)
+        kept, beta = _peel(graph, lower, queries, universe := expanded)
         epsilon, fallback = 1.0, True
+    work = {"pushes": state.pushes, "repushes": state.repushes, "residue": residue,
+            "estimate": state.estimate, "universe": len(universe)}
     return ApproxResult(frozenset(graph.connected_component(kept, queries[0])), epsilon,
-                        beta, fallback, explored, pushes=state.pushes,
-                        repushes=state.repushes)
+                        beta, fallback, explored, work=work)
 
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:

@@ -81,8 +81,9 @@ class PushState:
     v; together they always hold the full unit of start mass, so lower[v] is a
     certified lower bound of v's proximity score.  Both are Python lists,
     because every push reads and writes them one element at a time.
-    ``local.expand`` records in pushes the states it pushed and in repushes
-    those that moved mass stranded on an expanded vertex.
+    ``local.expand`` records in pushes the states it pushed, in repushes
+    those that moved mass stranded on an expanded vertex, and in estimate its
+    final minimum-degree estimate.
     """
 
     residue: list[float]
@@ -91,6 +92,7 @@ class PushState:
     alpha: float
     pushes: int = 0
     repushes: int = 0
+    estimate: float = 0.0
 
     @classmethod
     def fresh(cls, graph: TemporalGraph, alpha: float) -> "PushState":

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import math
 import time as _time
-from collections import deque
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -403,8 +402,9 @@ def reference_expand(graph: TemporalGraph, ctx: QueryContext,
     """Grow a candidate set around the queries that provably covers the exact community.
 
     Seeds each query q's outgoing states with residue 1/(|S| deg q), the start
-    distribution of ``temporal_pagerank``, and breadth-first pops vertices,
-    pushing their out-states.  A neighbor enters the frontier only if its
+    distribution of ``temporal_pagerank``, and pops vertices, pushing their
+    out-states: the queries first, then the frontier vertex holding the most
+    settled mass, keyed once when it is admitted.  A neighbor enters the frontier only if its
     degree upper bound can still reach the best minimum-degree estimate seen
     so far; when the whole frontier falls below that estimate it is merged in
     and expansion stops.  ``inspect`` (tests) is called after
@@ -442,10 +442,10 @@ def reference_expand(graph: TemporalGraph, ctx: QueryContext,
 
     beta_hat = 0.0
     query_set = set(queries)
-    frontier: deque[int] = deque(queries)
+    frontier = sorted((-math.inf, q) for q in queries)
     visited: set[int] = set(queries)
     while frontier:
-        u = frontier.popleft()
+        u = heapq.heappop(frontier)[1]
         queued.discard(u)
         frontier_sum -= lower[u]
         in_expanded.add(u)
@@ -472,13 +472,13 @@ def reference_expand(graph: TemporalGraph, ctx: QueryContext,
             for w in graph.adj[v]:
                 reach += lower[w]
             if reach >= beta_hat - BOUND_SLACK:
-                frontier.append(v)
+                heapq.heappush(frontier, (-lower[v], v))
                 queued.add(v)
                 frontier_sum += lower[v]
         if frontier:
             pending = state.residue_total + frontier_sum
             if pending < beta_hat - BOUND_SLACK:
-                for w in frontier:
+                for _, w in frontier:
                     in_expanded.add(w)
                     expanded.append(w)
                 frontier.clear()

@@ -59,14 +59,24 @@ RESPONSE_SCHEMA = {
                            "repushes": {"type": "integer", "minimum": 0,
                                         "description": "those of the pushes that moved "
                                                        "mass stranded on an expanded "
-                                                       "vertex"}},
+                                                       "vertex"},
+                           "residue": {"type": "number", "minimum": 0,
+                                       "description": "residue pending when the "
+                                                      "expansion stopped"},
+                           "estimate": {"type": "number", "minimum": 0,
+                                        "description": "the expansion's final "
+                                                       "minimum-degree estimate"},
+                           "universe": {"type": "integer", "minimum": 1,
+                                        "description": "size of the universe of the "
+                                                       "reduce peel giving the answer"}},
             "additionalProperties": False,
         },
     },
     # an als response reports its expansion's work
     "if": {"properties": {"algorithm": {"const": "als"}}},
     "then": {"properties": {"stats": {"required": ["explored", "epsilon_trace",
-                                                   "pushes", "repushes"]}}},
+                                                   "pushes", "repushes", "residue",
+                                                   "estimate", "universe"]}}},
 }
 
 
@@ -149,7 +159,8 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
 
 @pytest.mark.parametrize("alg, keys", [
     ("egr", ["bound", "bound_set", "region"]),
-    ("als", ["explored", "epsilon_trace", "pushes", "repushes"]),
+    ("als", ["explored", "epsilon_trace", "pushes", "repushes", "residue", "estimate",
+             "universe"]),
     ("baseline", []),
     ("brute", []),
 ])

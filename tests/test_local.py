@@ -203,6 +203,23 @@ def test_expansion_is_local_on_a_sparse_graph():
     assert float(np.median(fractions)) <= 0.6, fractions
 
 
+def test_expansion_is_local_at_low_occurrence_scale():
+    """On a 20k-vertex graph of perfbench's low-occurrence shape, popping the
+    most settled mass first keeps the expansion to a tenth of the graph for the
+    median stratified query, with coverage and the certificate intact."""
+    g = synth_graph(SynthConfig(n=20000, avg_deg=5.0, timestamps_per_edge=2,
+                                horizon=40, seed=1))
+    fractions = []
+    for q in stratified_queries(g, 12):
+        ctx = QueryContext.single(q)
+        approx = local_search(g, ctx)
+        exact = exact_community(g, ctx)
+        assert exact.members <= approx.explored
+        assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
+        fractions.append(len(approx.explored) / g.n)
+    assert float(np.median(fractions)) <= 0.10, fractions
+
+
 def counted_propagate(counter):
     """``propagate`` that adds each push (one ``on_lower`` call) to counter[0]."""
     def wrapped(state, sids, graph, on_lower=None, force=False):
