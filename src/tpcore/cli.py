@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 malformed input or invalid parameters, 3 unknown
 query label, 4 algorithm-level errors (NoCore, QueriesDisconnected,
 TooLarge, ...).  JSON responses keep a stable key set; text mode reports the
 same numbers.
+
+A graph file's built graph is cached on disk in ``$XDG_CACHE_HOME/tpcore``
+(``~/.cache/tpcore`` when unset), keyed by the SHA-256 of the file's bytes and
+by the pack layout, marshal format and interpreter; ``query --json`` reports
+the ``"cache"`` status.  The library never caches.
 """
 from __future__ import annotations
 
@@ -11,15 +16,18 @@ import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import io
 import json
+import marshal
+import os
 import random
 import sys
 import time
 
 from .community import brute_force_search, exact_community, kcore_baseline
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
-from .graph import TemporalGraph, format_edge_stream, load_edge_stream
+from .graph import PACK_LAYOUT, TemporalGraph, format_edge_stream, read_edge_stream
 from .local import local_search
 from .metrics import community_report
 from .pagerank import DEFAULT_ALPHA, QueryContext, temporal_pagerank
@@ -47,15 +55,43 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _load(path: str, as_json: bool) -> TemporalGraph | int:
+def _cached_graph(data: bytes) -> tuple[TemporalGraph, str]:
+    """The graph of edge-stream bytes, restored from the cache ("hit") or built
+    and stored ("miss"), or built when the cache cannot be written ("off")."""
+    folder = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                          "tpcore")
+    entry = os.path.join(folder, f"{hashlib.sha256(data).hexdigest()}-{PACK_LAYOUT}-marshal"
+                                 f"{marshal.version}-{sys.implementation.cache_tag}.graph")
     try:
-        graph = load_edge_stream(path)
+        with open(entry, "rb") as fh:
+            return TemporalGraph.unpack(fh.read()), "hit"
+    except (OSError, ValueError, EOFError, TypeError):
+        pass  # no entry, or a damaged one: build the graph and overwrite it
+    graph = read_edge_stream(io.BytesIO(data))  # the hashed bytes, never a second read
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(folder, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(graph.pack())
+        os.replace(tmp, entry)  # atomic: a concurrent run reads all of an entry or none
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        return graph, "off"
+    return graph, "miss"
+
+
+def _load(path: str, as_json: bool) -> tuple[TemporalGraph, str] | int:
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        graph, cache = _cached_graph(data)
     except (MalformedLine, EmptyGraph, OSError) as exc:
         return _fail(2, type(exc).__name__, str(exc), as_json)
     if graph.report.duplicates or graph.report.self_loops:
         print(f"warning: dropped {graph.report.duplicates} duplicate and "
               f"{graph.report.self_loops} self-loop edges", file=sys.stderr)
-    return graph
+    return graph, cache
 
 
 def _resolve_labels(graph: TemporalGraph, labels: list[str]) -> list[int]:
@@ -87,9 +123,9 @@ def cmd_query(args: argparse.Namespace) -> int:
                      args.json)
 
     t0 = time.perf_counter()
-    graph = _load(args.graph, args.json)
-    if isinstance(graph, int):
-        return graph
+    if isinstance(loaded := _load(args.graph, args.json), int):
+        return loaded
+    graph, cache = loaded
     load_s = time.perf_counter() - t0
 
     try:
@@ -104,6 +140,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "graph": {"n": graph.n, "m": graph.m, "m_static": graph.m_static,
                   "t_max_occurrence": graph.t_max_occurrence},
+        "cache": cache,
     }
     try:
         if args.alg == "als":
@@ -149,8 +186,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"metrics: td={m['td']!r} tc={m['tc']!r} md={m['md']!r} "
               f"size={m['size']} internal_times={m['internal_times']}")
         t = response["timings"]
-        print(f"timings: load={t['load_s']:.4f}s score={t['score_s']:.4f}s "
-              f"search={t['search_s']:.4f}s metrics={t['metrics_s']:.4f}s")
+        print(f"timings: load={t['load_s']:.4f}s (cache {response['cache']}) "
+              f"score={t['score_s']:.4f}s search={t['search_s']:.4f}s "
+              f"metrics={t['metrics_s']:.4f}s")
     return 0
 
 
@@ -169,9 +207,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    graph = _load(args.graph, args.json)
-    if isinstance(graph, int):
-        return graph
+    if isinstance(loaded := _load(args.graph, args.json), int):
+        return loaded
+    graph = loaded[0]
     stats = {
         "n": graph.n,
         "m": graph.m,
@@ -209,9 +247,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      False)
     if args.samples < 1:
         return _fail(2, "InvalidParameter", "--samples must be positive", False)
-    graph = _load(args.graph, False)
-    if isinstance(graph, int):
-        return graph
+    if isinstance(loaded := _load(args.graph, False), int):
+        return loaded
+    graph = loaded[0]
 
     count = args.samples
     if count > graph.n:

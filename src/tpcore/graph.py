@@ -32,6 +32,8 @@ intermediate is dropped once consumed, which bounds the load's peak memory.
 from __future__ import annotations
 
 import gc
+import io
+import marshal
 import math
 from array import array
 from bisect import bisect_right
@@ -40,12 +42,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 from .errors import EmptyGraph, MalformedLine, QueryNotInSet
 
 # the largest timestamp: rows hold them as signed 64-bit ints
 _T_MAX = 2**63 - 1
+# names what ``TemporalGraph.pack`` stores; change it whenever a stored field changes
+PACK_LAYOUT = "tpcore-graph-1"
 
 
 @dataclass
@@ -189,6 +193,32 @@ class TemporalGraph:
         # the transition denominator of each out-state, filled in by ``propagate``
         self.state_denom: list[float | None] = [None] * (2 * self.m)
 
+    def pack(self) -> bytes:
+        """The built graph as ``marshal`` bytes for ``unpack``: every field the
+        constructor sets except the ones ``unpack`` derives afresh."""
+        fields = {k: v for k, v in vars(self).items()
+                  if k not in ("index", "n", "m", "state_denom")}
+        return marshal.dumps((PACK_LAYOUT, {**fields, "report": vars(self.report)}))
+
+    @classmethod
+    @_collector_paused()
+    def unpack(cls, blob: bytes) -> "TemporalGraph":
+        """The graph ``pack`` wrote, with a fresh ``state_denom``; ValueError,
+        EOFError or TypeError if ``blob`` is not a whole entry of this layout."""
+        layout, fields = marshal.loads(blob)
+        if layout != PACK_LAYOUT:
+            raise ValueError(f"not a {PACK_LAYOUT} entry")
+        self = cls.__new__(cls)
+        vars(self).update(fields, report=LoadReport(**fields["report"]))
+        self.n, self.m = len(self.labels), len(self.state_time) // 2
+        if not (len(self.state_tail) == len(self.state_time) == 2 * self.m
+                == sum(map(len, self.inc_states)) == sum(map(len, self.inc_times))
+                and len(self.inc_states) == len(self.inc_times) == len(self.adj) == self.n):
+            raise ValueError("entry has inconsistent shapes")
+        self.index = dict(zip(self.labels, range(self.n)))
+        self.state_denom = [None] * (2 * self.m)
+        return self
+
     @classmethod
     def from_triples(cls, triples: Iterable[Sequence]) -> "TemporalGraph":
         """The graph of (u_label, v_label, t) triples; see the constructor."""
@@ -286,20 +316,27 @@ def load_edge_stream(path: str) -> TemporalGraph:
     A byte sequence that is not UTF-8 raises MalformedLine naming the first
     line that holds one.
     """
+    with open(path, "rb") as fh:
+        return read_edge_stream(fh)
+
+
+def read_edge_stream(raw: BinaryIO) -> TemporalGraph:
+    """Parse a seekable binary stream of UTF-8 "u v t" lines, as ``load_edge_stream``."""
+    text = io.TextIOWrapper(raw, encoding="utf-8")  # what open(path, "r") wraps a file in
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_stream(fh)
+        return parse_edge_stream(text)
     except UnicodeDecodeError:
-        # text mode decodes in chunks, so find the offending line in a second pass
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    line = raw.decode("utf-8", "replace").strip()
-                    raise MalformedLine(line_no, line,
-                                        f"not valid UTF-8 ({exc.reason})") from None
+        # the wrapper decodes in chunks, so find the offending line in a second pass
+        raw.seek(0)
+        for line_no, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(line_no, line.decode("utf-8", "replace").strip(),
+                                    f"not valid UTF-8 ({exc.reason})") from None
         raise
+    finally:
+        text.detach()  # ``raw`` stays its caller's to close
 
 
 def format_edge_stream(triples: Iterable[tuple[str, str, int]]) -> str:

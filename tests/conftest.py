@@ -15,6 +15,18 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+
+
+@pytest.fixture(autouse=True, scope="session")
+def private_graph_cache(tmp_path_factory):
+    """Point the command line's graph cache at a directory of this session,
+    so that neither the suite nor its child processes write to ~/.cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 CHAIN3 = [("q", "a", 1), ("a", "b", 2)]
 TRI = [("q", "a", 1), ("q", "b", 1), ("a", "b", 2)]
 EDGE1 = [("q", "a", 1)]

@@ -18,7 +18,7 @@ CHAIN3_TEXT = "q a 1\na b 2\n"
 RESPONSE_SCHEMA = {
     "type": "object",
     "required": ["algorithm", "query", "alpha", "community", "beta",
-                 "metrics", "timings", "graph", "stats"],
+                 "metrics", "timings", "graph", "cache", "stats"],
     "properties": {
         "algorithm": {"enum": ["egr", "als", "baseline", "brute"]},
         "query": {"type": "array", "items": {"type": "string"}},
@@ -43,6 +43,9 @@ RESPONSE_SCHEMA = {
         },
         "graph": {"type": "object",
                   "required": ["n", "m", "m_static", "t_max_occurrence"]},
+        "cache": {"enum": ["hit", "miss", "off"],
+                  "description": "the graph was restored from the cache, built and "
+                                 "stored, or built with the cache unusable"},
         "stats": {
             "type": "object",
             "properties": {"bound": {"type": "number", "minimum": 0},
@@ -171,7 +174,7 @@ def test_query_json_stats_follow_the_existing_keys(capsys, tri_file, alg, keys):
     payload = json.loads(out)
     jsonschema.validate(payload, RESPONSE_SCHEMA)
     extra = {"als": ["epsilon", "fallback", "explored_fraction"], "baseline": ["k"]}
-    assert list(payload) == (["algorithm", "query", "alpha", "graph", "beta"]
+    assert list(payload) == (["algorithm", "query", "alpha", "graph", "cache", "beta"]
                              + extra.get(alg, [])
                              + ["community", "metrics", "timings", "stats"])
     assert list(payload["stats"]) == keys
@@ -277,6 +280,85 @@ def test_text_and_json_report_identical_numbers(capsys, tri_file):
     payload = json.loads(json_out)
     assert f"beta: {payload['beta']!r}" in text_out
     assert f"td={payload['metrics']['td']!r}" in text_out
+
+
+# ---- graph cache ------------------------------------------------------------------
+
+def cached_query(capsys, path, *extra):
+    code, out, err = run(capsys, ["query", "--graph", str(path), "--q", "q", "--json", *extra])
+    payload = json.loads(out)
+    if code == 0:
+        jsonschema.validate(payload, RESPONSE_SCHEMA)
+    return code, payload, err
+
+
+def answer(payload):
+    """A response without the keys that may differ between a hit and a miss."""
+    return {k: v for k, v in payload.items() if k not in ("timings", "cache")}
+
+
+def entries(cache_dir):
+    return sorted((cache_dir / "tpcore").glob("*")) if (cache_dir / "tpcore").exists() else []
+
+
+@pytest.mark.parametrize("alg", ["egr", "als", "baseline", "brute"])
+def test_query_restores_the_built_graph_on_the_next_run(capsys, tmp_path, monkeypatch, alg):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "g.txt"
+    path.write_text(TRI_TEXT + "a q 1\nb b 4\n")  # a duplicate and a self-loop
+    first = cached_query(capsys, path, "--alg", alg, "--k", "1")
+    second = cached_query(capsys, path, "--alg", alg, "--k", "1")
+    assert (first[1]["cache"], second[1]["cache"]) == ("miss", "hit")
+    assert answer(first[1]) == answer(second[1])
+    assert first[2] == second[2] and "dropped 1 duplicate and 1 self-loop" in second[2]
+    assert len(entries(tmp_path / "cache")) == 1
+
+
+def test_query_rebuilds_after_the_file_changes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "g.txt"
+    path.write_text(TRI_TEXT)
+    before = cached_query(capsys, path)[1]
+    path.write_text(TRI_TEXT.replace("a b 2", "a c 2"))  # one byte edited
+    after = cached_query(capsys, path)[1]
+    assert after["cache"] == "miss"
+    assert before["community"] == ["a", "b", "q"] and after["community"] == ["a", "c", "q"]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    assert answer(cached_query(capsys, path)[1]) == answer(after)
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:len(b) // 2], lambda b: b"garbage",
+                                    lambda b: b""])
+def test_query_rebuilds_a_damaged_entry(capsys, tmp_path, monkeypatch, damage):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = tmp_path / "g.txt"
+    path.write_text(TRI_TEXT)
+    first = cached_query(capsys, path)[1]
+    [entry] = entries(tmp_path / "cache")
+    entry.write_bytes(damage(entry.read_bytes()))
+    rebuilt = cached_query(capsys, path)[1]
+    assert rebuilt["cache"] == "miss" and answer(rebuilt) == answer(first)
+    assert cached_query(capsys, path)[1]["cache"] == "hit"
+    assert entries(tmp_path / "cache") == [entry]
+
+
+def test_query_runs_without_a_usable_cache(capsys, tmp_path, monkeypatch, tri_file):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    code, payload, _ = cached_query(capsys, tri_file)
+    assert code == 0 and payload["cache"] == "off"
+    assert payload["community"] == ["a", "b", "q"]
+
+
+@pytest.mark.parametrize("content", [b"q a\n", b"q a 1\n\xffb c 2\n", b""])
+def test_query_caches_nothing_for_bad_input(capsys, tmp_path, monkeypatch, content):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    code, payload, _ = cached_query(capsys, bad)
+    assert code == 2 and set(payload) == {"error", "message"}
+    assert entries(tmp_path / "cache") == []
 
 
 # ---- gen --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import io
+import marshal
 import os
 import random
 import subprocess
@@ -127,6 +128,51 @@ def test_round_trip_identical():
     g2 = parse_edge_stream(io.StringIO(dumps_edge_stream(g)))
     assert oracle.same_graph(g, g2)
     assert g.labels == g2.labels
+
+
+def restored(graph):
+    return TemporalGraph.unpack(graph.pack())
+
+
+def test_pack_round_trip_restores_every_field():
+    """Every attribute the constructor sets comes back equal, so a field added
+    to the constructor but left out of the pack fails here."""
+    rng = random.Random(11)
+    graphs = [random_temporal_graph(rng) for _ in range(100)] + [
+        TemporalGraph.from_triples([("q", "a", 3), ("a", "q", 3), ("b", "b", 1), ("q", "a", 3)]),
+        parse_edge_stream([f"b c {2**63 - 1}", "a b 0", f"a c {2**63 - 8}", "c d 5",
+                           f"c b {2**63 - 1}", "d d 4"]),
+    ]
+    for g in graphs:
+        back = restored(g)
+        assert type(back) is TemporalGraph
+        assert vars(back).keys() == vars(g).keys()
+        for name, value in vars(g).items():
+            assert getattr(back, name) == value, name
+    assert (back.report.duplicates, back.report.self_loops) == (1, 1)
+    assert (graphs[-2].report.duplicates, graphs[-2].report.self_loops) == (2, 1)
+
+
+def test_unpack_gives_a_fresh_state_denom():
+    g = random_temporal_graph(random.Random(5), n_max=15, m_max=60)
+    temporal_pagerank(g, QueryContext.single(0))
+    assert any(d is not None for d in g.state_denom)
+    back = restored(g)
+    assert back.state_denom == [None] * (2 * g.m)
+    temporal_pagerank(back, QueryContext.single(0))
+    assert back.state_denom == g.state_denom
+
+
+def test_unpack_rejects_what_pack_did_not_write():
+    blob = random_temporal_graph(random.Random(2)).pack()
+    for bad in (blob[:len(blob) // 2], b"", b"not a graph", marshal.dumps(("other", {})),
+                marshal.dumps(7)):
+        with pytest.raises((ValueError, EOFError, TypeError)):
+            TemporalGraph.unpack(bad)
+    layout, fields = marshal.loads(blob)
+    fields["adj"] = fields["adj"][:-1]
+    with pytest.raises(ValueError, match="shapes"):
+        TemporalGraph.unpack(marshal.dumps((layout, fields)))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -258,14 +304,26 @@ def test_load_peak_stays_near_what_the_graph_keeps():
 
 
 # run in a fresh interpreter, whose heap holds no garbage of earlier tests
-ROW_INT_GAPS = """
-from tpcore import SynthConfig, TemporalGraph, synth_triples
-g = TemporalGraph((u, v, t + 1000) for u, v, t in synth_triples(
-    SynthConfig(n=3000, avg_deg=5.0, timestamps_per_edge=2, horizon=1000, seed=3)))
+GAPS = """
 for rows in (g.inc_states, g.inc_times):
     gaps = [id(b) - id(a) for row in rows for a, b in zip(row, row[1:])]
     print(sum(0 < d <= 64 for d in gaps) / len(gaps))
 """
+ROW_INT_GAPS = """
+from tpcore import SynthConfig, TemporalGraph, synth_triples
+g = TemporalGraph((u, v, t + 1000) for u, v, t in synth_triples(
+    SynthConfig(n=3000, avg_deg=5.0, timestamps_per_edge=2, horizon=1000, seed=3)))
+""" + GAPS
+
+
+def row_int_gaps(script):
+    src = str(Path(tpcore.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(float, proc.stdout.split()))
 
 
 def test_row_ints_sit_next_to_each_other():
@@ -274,13 +332,19 @@ def test_row_ints_sit_next_to_each_other():
     each entry's object follows the previous one in memory (the score pass
     reads them in row order).  Timestamps above 256 are not the interpreter's
     shared small ints, so each one is an object of its own."""
-    src = str(Path(tpcore.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", ROW_INT_GAPS],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    states, times = map(float, proc.stdout.split())
+    states, times = row_int_gaps(ROW_INT_GAPS)
+    assert states >= 0.9 and times >= 0.9, (states, times)
+
+
+def test_restored_row_ints_sit_next_to_each_other(tmp_path):
+    """A fresh process that restores a packed graph, as a cache hit does, gets
+    the layout of a build: marshal makes each row's ints in row order."""
+    path = tmp_path / "g.graph"
+    path.write_bytes(TemporalGraph((u, v, t + 1000) for u, v, t in synth_triples(
+        SynthConfig(n=3000, avg_deg=5.0, timestamps_per_edge=2, horizon=1000, seed=3))).pack())
+    states, times = row_int_gaps("from tpcore import TemporalGraph\n"
+                                 f"g = TemporalGraph.unpack(open({str(path)!r}, 'rb').read())"
+                                 + GAPS)
     assert states >= 0.9 and times >= 0.9, (states, times)
 
 
