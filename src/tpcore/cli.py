@@ -7,8 +7,10 @@ same numbers.
 
 A graph file's built graph is cached on disk in ``$XDG_CACHE_HOME/tpcore``
 (``~/.cache/tpcore`` when unset), keyed by the SHA-256 of the file's bytes and
-by the pack layout, marshal format and interpreter; ``query --json`` reports
-the ``"cache"`` status.  The library never caches.
+by the pack layout, marshal format and interpreter.  An entry also holds
+every transition denominator, filled on the miss that writes it, so that a hit
+scores warm.  ``query --json`` reports the ``"cache"`` status.  The library
+never caches.
 """
 from __future__ import annotations
 
@@ -72,6 +74,7 @@ def _cached_graph(data: bytes) -> tuple[TemporalGraph, str]:
     try:
         os.makedirs(folder, exist_ok=True)
         with open(tmp, "wb") as fh:
+            graph.fill_denominators()  # so that every hit scores warm
             fh.write(graph.pack())
         os.replace(tmp, entry)  # atomic: a concurrent run reads all of an entry or none
     except OSError:

@@ -35,6 +35,7 @@ import gc
 import io
 import marshal
 import math
+import sys
 from array import array
 from bisect import bisect_right
 from collections import defaultdict, deque
@@ -49,7 +50,7 @@ from .errors import EmptyGraph, MalformedLine, QueryNotInSet
 # the largest timestamp: rows hold them as signed 64-bit ints
 _T_MAX = 2**63 - 1
 # names what ``TemporalGraph.pack`` stores; change it whenever a stored field changes
-PACK_LAYOUT = "tpcore-graph-1"
+PACK_LAYOUT = "tpcore-graph-2"
 
 
 @dataclass
@@ -141,9 +142,10 @@ class TemporalGraph:
     Built from "u v t" records by its one constructor; ``parse_edge_stream``,
     ``load_edge_stream`` and ``from_triples`` only feed it.  Construction is
     single-threaded.  Afterwards only the per-state memo of transition
-    denominators, ``state_denom``, is written, lazily.  Every value written
-    there is fixed by the graph, so racing writers write equal values and the
-    instance is safe to share across concurrent queries.
+    denominators, ``state_denom``, is written, lazily or all at once by
+    ``fill_denominators``; an entry of 0.0 is not computed yet.  Every value
+    written there is fixed by the graph, so racing writers write equal values
+    and the instance is safe to share across concurrent queries.
     """
 
     @_collector_paused()
@@ -191,32 +193,49 @@ class TemporalGraph:
         # the most distinct timestamps on the edges of one vertex
         self.t_max_occurrence = max(map(len, map(set, self.inc_times)))
         # the transition denominator of each out-state, filled in by ``propagate``
-        self.state_denom: list[float | None] = [None] * (2 * self.m)
+        # or ``fill_denominators``; 0.0 means not computed yet
+        self.state_denom: array = array("d", [0.0]) * (2 * self.m)
+
+    def fill_denominators(self) -> None:
+        """Compute every non-dangling state's ``state_denom`` entry, one
+        ``denominator`` call per (arrival vertex, time); a dangling state's
+        entry stays 0.0."""
+        state_denom = self.state_denom
+        for u, (times, states) in enumerate(zip(self.inc_times, self.inc_states)):
+            lo, end = 0, len(times)
+            while lo < end:  # the states arriving at (u, times[lo]) leave by times[lo:hi]
+                hi = bisect_right(times, times[lo], lo)
+                if hi < end:
+                    denom = self.denominator(u, times[lo])
+                    for i in range(lo, hi):
+                        state_denom[states[i] ^ 1] = denom
+                lo = hi
 
     def pack(self) -> bytes:
         """The built graph as ``marshal`` bytes for ``unpack``: every field the
-        constructor sets except the ones ``unpack`` derives afresh."""
-        fields = {k: v for k, v in vars(self).items()
-                  if k not in ("index", "n", "m", "state_denom")}
-        return marshal.dumps((PACK_LAYOUT, {**fields, "report": vars(self.report)}))
+        constructor sets except the ones ``unpack`` derives afresh, and
+        ``state_denom`` as it stands, in native byte order."""
+        fields = {k: v for k, v in vars(self).items() if k not in ("index", "n", "m")}
+        return marshal.dumps((PACK_LAYOUT, sys.byteorder, {
+            **fields, "state_denom": self.state_denom.tobytes(), "report": vars(self.report)}))
 
     @classmethod
     @_collector_paused()
     def unpack(cls, blob: bytes) -> "TemporalGraph":
-        """The graph ``pack`` wrote, with a fresh ``state_denom``; ValueError,
+        """The graph ``pack`` wrote, with its ``state_denom``; ValueError,
         EOFError or TypeError if ``blob`` is not a whole entry of this layout."""
-        layout, fields = marshal.loads(blob)
-        if layout != PACK_LAYOUT:
-            raise ValueError(f"not a {PACK_LAYOUT} entry")
+        layout, byteorder, fields = marshal.loads(blob)
+        if (layout, byteorder) != (PACK_LAYOUT, sys.byteorder):
+            raise ValueError(f"not a {sys.byteorder}-endian {PACK_LAYOUT} entry")
         self = cls.__new__(cls)
         vars(self).update(fields, report=LoadReport(**fields["report"]))
         self.n, self.m = len(self.labels), len(self.state_time) // 2
-        if not (len(self.state_tail) == len(self.state_time) == 2 * self.m
+        self.state_denom = array("d", fields["state_denom"])  # a memcpy
+        if not (len(self.state_tail) == len(self.state_time) == len(self.state_denom) == 2 * self.m
                 == sum(map(len, self.inc_states)) == sum(map(len, self.inc_times))
                 and len(self.inc_states) == len(self.inc_times) == len(self.adj) == self.n):
             raise ValueError("entry has inconsistent shapes")
         self.index = dict(zip(self.labels, range(self.n)))
-        self.state_denom = [None] * (2 * self.m)
         return self
 
     @classmethod

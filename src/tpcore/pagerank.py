@@ -126,8 +126,9 @@ def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
     degree bounds.  ``residue_total`` loses the settled mass, as the pending
     residue does in real arithmetic.  ``force`` skips the gate: seed states of
     a multi-vertex query can start below 1/m and must still fire or no bounds
-    ever accrue.  A ``state_denom`` miss calls ``graph.denominator`` once and
-    fills every state arriving at (tail, t).
+    ever accrue.  A ``state_denom`` entry of 0.0 is a miss (a non-dangling
+    denominator is a sum of positive terms, so never 0.0): it calls
+    ``graph.denominator`` once and fills every state arriving at (tail, t).
     """
     residue, lower = state.residue, state.lower
     gate = 1.0 / graph.m
@@ -145,7 +146,7 @@ def propagate(state: PushState, sids: Iterable[int], graph: TemporalGraph,
         else:
             states = graph.inc_states[tail]
             denom = state_denom[sid]
-            if denom is None:
+            if not denom:
                 denom = graph.denominator(tail, t)
                 for i in range(bisect_left(times, t), lo):
                     state_denom[states[i] ^ 1] = denom

@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 
 import tpcore
-from tpcore.cli import BENCH_HEADER, main
+from tpcore import TemporalGraph
+from tpcore.cli import BENCH_HEADER, _cached_graph, main
 
 TRI_TEXT = "q a 1\nq b 1\na b 2\n"
 CHAIN3_TEXT = "q a 1\na b 2\n"
@@ -349,6 +350,34 @@ def test_query_runs_without_a_usable_cache(capsys, tmp_path, monkeypatch, tri_fi
     code, payload, _ = cached_query(capsys, tri_file)
     assert code == 0 and payload["cache"] == "off"
     assert payload["community"] == ["a", "b", "q"]
+    # an uncached run computes its own denominators and answers as a filled entry does
+    path = tmp_path / "g.txt"
+    path.write_text(CHAIN3_TEXT + TRI_TEXT + "b c 3\nq c 4\nc a 5\n")
+    for alg in ("egr", "als"):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        off = cached_query(capsys, path, "--alg", alg)[1]
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        cached_query(capsys, path, "--alg", alg)
+        hit = cached_query(capsys, path, "--alg", alg)[1]
+        assert (off["cache"], hit["cache"]) == ("off", "hit") and answer(off) == answer(hit)
+
+
+def test_only_a_stored_entry_fills_the_denominators(tmp_path, monkeypatch):
+    """A miss fills every denominator before it stores the entry, a hit
+    restores them, and a run that cannot store an entry computes none."""
+    data = (CHAIN3_TEXT + TRI_TEXT + "b c 3\nq c 4\nq a 4\n").encode()
+    fresh = TemporalGraph.from_triples(line.split() for line in data.decode().splitlines())
+    fresh.fill_denominators()
+    assert any(fresh.state_denom)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    for status in ("miss", "hit"):
+        graph, cache = _cached_graph(data)
+        assert cache == status and graph.state_denom == fresh.state_denom
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    graph, cache = _cached_graph(data)
+    assert cache == "off" and not any(graph.state_denom)
 
 
 @pytest.mark.parametrize("content", [b"q a\n", b"q a 1\n\xffb c 2\n", b""])
@@ -370,7 +399,7 @@ def test_gen_deterministic_and_clean(capsys, tmp_path):
                                   "--tpe", "2", "--horizon", "50",
                                   "--seed", "7", "--out", out])
         assert code == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     from tpcore import load_edge_stream
     g = load_edge_stream(a)
     assert g.report.duplicates == 0 and g.report.self_loops == 0

@@ -153,14 +153,42 @@ def test_pack_round_trip_restores_every_field():
     assert (graphs[-2].report.duplicates, graphs[-2].report.self_loops) == (2, 1)
 
 
-def test_unpack_gives_a_fresh_state_denom():
+def test_unpack_restores_the_stored_state_denom():
+    """A restored graph holds the table as it was packed, partly or wholly
+    filled, and goes on filling it as a graph that was never packed does."""
     g = random_temporal_graph(random.Random(5), n_max=15, m_max=60)
     temporal_pagerank(g, QueryContext.single(0))
-    assert any(d is not None for d in g.state_denom)
+    partial = g.state_denom.tolist()
+    assert any(partial) and not all(partial)
     back = restored(g)
-    assert back.state_denom == [None] * (2 * g.m)
-    temporal_pagerank(back, QueryContext.single(0))
+    assert back.state_denom.typecode == "d" and back.state_denom.tolist() == partial
+    temporal_pagerank(back, QueryContext.single(1))
+    temporal_pagerank(g, QueryContext.single(1))
     assert back.state_denom == g.state_denom
+    g.fill_denominators()
+    assert restored(g).state_denom == g.state_denom
+
+
+def test_fill_denominators_holds_the_graph_denominators():
+    """Every non-dangling state's entry is ``denominator`` of its arrival, bit
+    for bit, also where several states arrive at one (vertex, time) and where
+    timestamps lie within 8 of 2**63 - 1; a dangling state's stays 0.0."""
+    rng = random.Random(43)
+    filled = shared = 0
+    for top in (2**63 - 1, 50):
+        for _ in range(150):
+            g = TemporalGraph.from_triples(messy_triples(rng, top))
+            g.fill_denominators()
+            assert len(g.state_denom) == 2 * g.m
+            arrivals = [oracle.arrival(g, s) for s in range(2 * g.m)]
+            for s, (u, t) in enumerate(arrivals):
+                if oracle.vertex_dangling(g, u, t):
+                    assert g.state_denom[s] == 0.0
+                else:
+                    assert g.state_denom[s] == g.denominator(u, t)
+                    filled += 1
+                    shared += arrivals.count((u, t)) > 1
+    assert filled > 1000 and shared > 500
 
 
 def test_unpack_rejects_what_pack_did_not_write():
@@ -169,10 +197,18 @@ def test_unpack_rejects_what_pack_did_not_write():
                 marshal.dumps(7)):
         with pytest.raises((ValueError, EOFError, TypeError)):
             TemporalGraph.unpack(bad)
-    layout, fields = marshal.loads(blob)
-    fields["adj"] = fields["adj"][:-1]
-    with pytest.raises(ValueError, match="shapes"):
-        TemporalGraph.unpack(marshal.dumps((layout, fields)))
+    layout, byteorder, fields = marshal.loads(blob)
+    for name, bad in (("adj", fields["adj"][:-1]),
+                      ("state_denom", fields["state_denom"][:-8]),
+                      ("state_denom", fields["state_denom"] * 2)):
+        with pytest.raises(ValueError, match="shapes"):
+            TemporalGraph.unpack(marshal.dumps((layout, byteorder, {**fields, name: bad})))
+    with pytest.raises(ValueError):  # not a whole number of float64s
+        TemporalGraph.unpack(marshal.dumps(
+            (layout, byteorder, {**fields, "state_denom": fields["state_denom"][:-3]})))
+    other = "big" if byteorder == "little" else "little"
+    with pytest.raises(ValueError, match="endian"):
+        TemporalGraph.unpack(marshal.dumps((layout, other, fields)))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -281,7 +317,8 @@ def test_per_state_lists_match_the_cleaned_stream():
             assert [oracle.triple(g, e) for e in range(g.m)] == want
             assert len(g.state_tail) == len(g.state_time) == 2 * g.m
             assert g.state_time[0::2] == g.state_time[1::2]  # a state and its reverse
-            assert g.state_denom == [None] * (2 * g.m)
+            assert g.state_denom.typecode == "d"  # a float64 per state, 0.0 until computed
+            assert g.state_denom.tolist() == [0.0] * (2 * g.m)
 
 
 def test_load_peak_stays_near_what_the_graph_keeps():

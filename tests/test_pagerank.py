@@ -6,7 +6,7 @@ from hypothesis import given
 
 import tpcore
 import tpcore.pagerank as pagerank
-from tpcore import (NotConverged, QueryContext, TemporalGraph, local_search,
+from tpcore import (NotConverged, QueryContext, TemporalGraph, exact_community, local_search,
                     power_iteration_pagerank, propagate, temporal_pagerank,
                     temporal_pagerank_multi)
 from tests import oracle
@@ -128,7 +128,7 @@ def test_push_memo_holds_the_graph_denominators():
         local_search(g, ctx)
         temporal_pagerank(g, ctx)
         for s, denom in enumerate(g.state_denom):
-            if denom is not None:
+            if denom:  # 0.0: never computed
                 assert denom == g.denominator(*oracle.arrival(g, s))  # bit for bit
                 filled += 1
     assert filled > 1000
@@ -148,7 +148,7 @@ def test_cold_and_warm_passes_agree_bit_for_bit():
             local_search(warm, QueryContext.single(rng.randrange(warm.n), alpha))
             temporal_pagerank(warm, QueryContext((rng.randrange(warm.n), rng.randrange(warm.n)),
                                                  alpha))
-            warm_entries += sum(d is not None for d in warm.state_denom)
+            warm_entries += sum(d != 0.0 for d in warm.state_denom)
             got = temporal_pagerank(warm, ctx).per_vertex
             assert got == temporal_pagerank(cold, ctx).per_vertex
     assert warm_entries > 1000
@@ -180,6 +180,31 @@ def test_one_denominator_per_arrival(monkeypatch):
                      if not oracle.vertex_dangling(g, *oracle.arrival(g, s))}
     assert len(calls) == len(set(calls)) and set(calls) == arrivals
     assert len(arrivals) > 500
+
+
+def test_a_restored_filled_graph_computes_no_denominator(monkeypatch):
+    """A graph packed after ``fill_denominators``, as the command line's cache
+    stores it, answers every search without computing a denominator, and
+    answers as a graph that computes them all does."""
+    rng = random.Random(41)
+    for top in (2**63 - 1, 50):
+        for _ in range(60):
+            triples = messy_triples(rng, top)
+            cold = TemporalGraph.from_triples(triples)
+            filled = TemporalGraph.from_triples(triples)
+            filled.fill_denominators()
+            warm = TemporalGraph.unpack(filled.pack())
+            monkeypatch.setattr(warm, "denominator",
+                                lambda u, t0: pytest.fail(f"computed denominator({u}, {t0})"))
+            ctx = QueryContext.single(rng.randrange(cold.n))
+            assert (temporal_pagerank(warm, ctx).per_vertex
+                    == temporal_pagerank(cold, ctx).per_vertex)
+            got, want = exact_community(warm, ctx), exact_community(cold, ctx)
+            assert (got.members, got.beta) == (want.members, want.beta)
+            got, want = local_search(warm, ctx), local_search(cold, ctx)
+            assert (got.members, got.beta_lower, got.epsilon) == (
+                want.members, want.beta_lower, want.epsilon)
+            assert warm.state_denom == filled.state_denom
 
 
 def test_values_array_equals_the_score_list(tri):
