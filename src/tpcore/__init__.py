@@ -1,32 +1,35 @@
-"""Temporal community search via time-respecting personalized PageRank."""
+"""Temporal community search via time-respecting personalized PageRank.
 
-from .community import (CommunityResult, brute_force_search, exact_community,
-                        exact_community_multi, kcore_baseline,
-                        min_proximity_degree, proximity_degree)
-from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, NoCore,
-                     NotConverged, QueriesDisconnected, QueryNotInSet, TooLarge,
-                     UnknownLabel)
-from .graph import TemporalGraph, load_edge_stream, parse_edge_stream
-from .local import (ApproxResult, expand, local_search, local_search_multi,
-                    reduce_stage)
-from .metrics import (MetricReport, community_report, temporal_conductance,
-                      temporal_density)
-from .pagerank import (PushState, QueryContext, ScoreVector, drain,
-                       power_iteration_pagerank, propagate, temporal_pagerank,
-                       temporal_pagerank_multi)
-from .synth import SynthConfig, synth_graph, synth_triples
+Each public name is imported from its module on first access (PEP 562), so
+that ``import tpcore.cli`` loads only the modules a command runs.
+"""
 
-__all__ = [
-    "ApproxResult", "CommunityResult", "CommunitySearchError", "EmptyGraph",
-    "MalformedLine", "MetricReport", "NoCore", "NotConverged",
-    "PushState", "QueriesDisconnected", "QueryContext",
-    "QueryNotInSet", "ScoreVector", "SynthConfig", "TemporalGraph",
-    "TooLarge", "UnknownLabel", "brute_force_search",
-    "community_report", "drain", "exact_community",
-    "exact_community_multi", "expand", "kcore_baseline",
-    "load_edge_stream", "local_search", "local_search_multi",
-    "min_proximity_degree", "parse_edge_stream", "power_iteration_pagerank",
-    "propagate", "proximity_degree", "reduce_stage", "synth_graph",
-    "synth_triples", "temporal_conductance", "temporal_density",
-    "temporal_pagerank", "temporal_pagerank_multi",
-]
+import importlib
+
+# the module that defines each public name
+_HOME = {name: module for module, names in {
+    "community": "CommunityResult brute_force_search exact_community exact_community_multi "
+                 "kcore_baseline min_proximity_degree proximity_degree",
+    "errors": "CommunitySearchError EmptyGraph MalformedLine NoCore NotConverged "
+              "QueriesDisconnected QueryNotInSet TooLarge UnknownLabel",
+    "graph": "TemporalGraph load_edge_stream parse_edge_stream",
+    "local": "ApproxResult expand local_search local_search_multi reduce_stage",
+    "metrics": "MetricReport community_report temporal_conductance temporal_density",
+    "pagerank": "PushState QueryContext ScoreVector drain power_iteration_pagerank propagate "
+                "temporal_pagerank temporal_pagerank_multi",
+    "synth": "SynthConfig synth_graph synth_triples",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

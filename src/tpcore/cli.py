@@ -11,29 +11,29 @@ by the pack layout, marshal format and interpreter.  An entry also holds
 every transition denominator, filled on the miss that writes it, so that a hit
 scores warm.  ``query --json`` reports the ``"cache"`` status.  The library
 never caches.
+
+Each run is a fresh process, so start-up counts in every command: the module
+imports only what an ``egr`` query runs, and the other paths import their own
+modules (``local``, ``synth``, ``csv``) when they run.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import io
 import json
 import marshal
 import os
-import random
 import sys
 import time
 
 from .community import brute_force_search, exact_community, kcore_baseline
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
 from .graph import PACK_LAYOUT, TemporalGraph, format_edge_stream, read_edge_stream
-from .local import local_search
 from .metrics import community_report
 from .pagerank import DEFAULT_ALPHA, QueryContext, temporal_pagerank
-from .synth import SynthConfig, synth_triples
 
 ALGORITHMS = ("egr", "als", "baseline", "brute")
 
@@ -147,6 +147,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     }
     try:
         if args.alg == "als":
+            from .local import local_search
             result = local_search(graph, ctx)
             scores = None
             response["beta"] = result.beta_lower
@@ -196,6 +197,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .synth import SynthConfig, synth_triples
     cfg = SynthConfig(args.n, args.avg_deg, args.tpe, args.horizon, args.seed)
     try:
         triples = synth_triples(cfg)
@@ -240,6 +242,10 @@ def stratified_queries(graph: TemporalGraph, count: int) -> list[int]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv
+    import random
+
+    from .local import local_search
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     bad = [a for a in algs if a not in ("egr", "als")]
     if bad or not algs:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import NoCore, QueriesDisconnected, TooLarge
@@ -21,14 +20,12 @@ from .graph import TemporalGraph
 from .pagerank import QueryContext, ScoreVector, temporal_pagerank
 
 
-@dataclass
 class CommunityResult:
-    members: frozenset[int]
-    beta: float
-    algorithm: str
-    timings: dict[str, float] = field(default_factory=dict)
-    scores: ScoreVector | None = None
-    stats: dict[str, float] = field(default_factory=dict)
+    def __init__(self, members: frozenset[int], beta: float, algorithm: str,
+                 timings: dict[str, float] | None = None, scores: ScoreVector | None = None,
+                 stats: dict[str, float] | None = None):
+        self.members, self.beta, self.algorithm, self.scores = members, beta, algorithm, scores
+        self.timings, self.stats = timings or {}, stats or {}
 
     def labels(self, graph: TemporalGraph) -> list[str]:
         return sorted(graph.labels[u] for u in self.members)

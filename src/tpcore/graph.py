@@ -40,7 +40,6 @@ from array import array
 from bisect import bisect_right
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Sequence, TextIO
@@ -51,14 +50,19 @@ from .errors import EmptyGraph, MalformedLine, QueryNotInSet
 _T_MAX = 2**63 - 1
 # names what ``TemporalGraph.pack`` stores; change it whenever a stored field changes
 PACK_LAYOUT = "tpcore-graph-2"
+# the fields ``pack`` stores: every one the constructor sets but index, n and m
+_PACKED = frozenset({"report", "labels", "state_tail", "state_time", "inc_states", "inc_times",
+                     "adj", "m_static", "t_max_occurrence", "state_denom"})
 
 
-@dataclass
 class LoadReport:
-    """Counts of lines dropped while cleaning an edge stream."""
+    """Counts of lines dropped while cleaning an edge stream; equal when the counts are."""
 
-    duplicates: int = 0
-    self_loops: int = 0
+    def __init__(self, duplicates: int = 0, self_loops: int = 0):
+        self.duplicates, self.self_loops = duplicates, self_loops
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LoadReport and vars(self) == vars(other)
 
 
 @contextmanager
@@ -227,8 +231,12 @@ class TemporalGraph:
         layout, byteorder, fields = marshal.loads(blob)
         if (layout, byteorder) != (PACK_LAYOUT, sys.byteorder):
             raise ValueError(f"not a {sys.byteorder}-endian {PACK_LAYOUT} entry")
+        report = fields.get("report") if isinstance(fields, dict) else None
+        if not (isinstance(report, dict) and fields.keys() == _PACKED
+                and report.keys() == {"duplicates", "self_loops"}):
+            raise ValueError(f"entry does not hold the fields of {PACK_LAYOUT}")
         self = cls.__new__(cls)
-        vars(self).update(fields, report=LoadReport(**fields["report"]))
+        vars(self).update(fields, report=LoadReport(**report))
         self.n, self.m = len(self.labels), len(self.state_time) // 2
         self.state_denom = array("d", fields["state_denom"])  # a memcpy
         if not (len(self.state_tail) == len(self.state_time) == len(self.state_denom) == 2 * self.m

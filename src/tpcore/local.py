@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .community import _peel, proximity_degree
@@ -193,7 +192,6 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     return expanded, state
 
 
-@dataclass
 class ApproxResult:
     """Community with a certified approximation ratio.
 
@@ -204,16 +202,14 @@ class ApproxResult:
     peeled on the exact scores: such an answer is exact, with epsilon 1.
     """
 
-    members: frozenset[int]
-    epsilon: float
-    beta_lower: float
-    fallback: bool
-    explored: frozenset[int]
-    algorithm: str = "als"
-    timings: dict[str, float] = field(default_factory=dict)
-    # the expansion's pushes, re-pushes, pending residue and estimate when it
-    # stopped, and the size of the universe of the reduce peel giving the answer
-    work: dict[str, float] = field(default_factory=dict)
+    def __init__(self, members: frozenset[int], epsilon: float, beta_lower: float,
+                 fallback: bool, explored: frozenset[int], algorithm: str = "als",
+                 timings: dict[str, float] | None = None, work: dict[str, float] | None = None):
+        self.members, self.epsilon, self.beta_lower = members, epsilon, beta_lower
+        self.fallback, self.explored, self.algorithm = fallback, explored, algorithm
+        # work: the expansion's pushes, re-pushes, pending residue and estimate when
+        # it stopped, and the size of the universe of the reduce peel giving the answer
+        self.timings, self.work = timings or {}, work or {}
 
     def labels(self, graph: TemporalGraph) -> list[str]:
         return sorted(graph.labels[u] for u in self.members)

@@ -5,7 +5,6 @@ to 0, the neutral reading of each formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .community import min_proximity_degree
@@ -67,8 +66,7 @@ def temporal_conductance(graph: TemporalGraph, subset: Iterable[int]) -> float:
     return _conductance(graph, _incidence(graph, set(subset)))
 
 
-@dataclass
-class MetricReport:
+class MetricReport(NamedTuple):
     td: float
     tc: float
     md: float
@@ -76,8 +74,7 @@ class MetricReport:
     internal_times: int
 
     def to_dict(self) -> dict:
-        return {"td": self.td, "tc": self.tc, "md": self.md,
-                "size": self.size, "internal_times": self.internal_times}
+        return self._asdict()
 
 
 def community_report(graph: TemporalGraph, scores, subset: Iterable[int]) -> MetricReport:

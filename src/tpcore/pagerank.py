@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from typing import Callable, Iterable
 
@@ -27,28 +27,25 @@ from .graph import TemporalGraph
 DEFAULT_ALPHA = 0.2
 
 
-@dataclass(frozen=True)
-class QueryContext:
-    """A community-search query: one or more query vertices plus the stop probability."""
+class QueryContext(namedtuple("QueryContext", ["queries", "alpha"])):
+    """A community-search query: one or more query vertices, each kept once in order,
+    plus the stop probability; immutable, equal and hashed by value."""
 
-    queries: tuple[int, ...]
-    alpha: float = DEFAULT_ALPHA
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that ``_replace`` checks too
 
-    def __post_init__(self):
-        if not self.queries:
+    def __new__(cls, queries: tuple[int, ...], alpha: float = DEFAULT_ALPHA) -> "QueryContext":
+        if not queries:
             raise ValueError("need at least one query vertex")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        deduped = tuple(dict.fromkeys(self.queries))
-        if deduped != self.queries:
-            object.__setattr__(self, "queries", deduped)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        return super().__new__(cls, tuple(dict.fromkeys(queries)), alpha)
 
     @classmethod
     def single(cls, q: int, alpha: float = DEFAULT_ALPHA) -> "QueryContext":
         return cls((q,), alpha)
 
 
-@dataclass
 class ScoreVector:
     """Per-vertex proximity scores for a fixed query context.
 
@@ -58,8 +55,8 @@ class ScoreVector:
     asked for.
     """
 
-    per_vertex: list[float]
-    ctx: QueryContext
+    def __init__(self, per_vertex: list[float], ctx: QueryContext):
+        self.per_vertex, self.ctx = per_vertex, ctx
 
     @property
     def values(self):
@@ -73,7 +70,6 @@ class ScoreVector:
         return math.fsum(self.per_vertex)
 
 
-@dataclass
 class PushState:
     """Forward-push bookkeeping over the 2m ordered-edge states.
 
@@ -86,13 +82,11 @@ class PushState:
     final minimum-degree estimate.
     """
 
-    residue: list[float]
-    lower: list[float]
-    residue_total: float
-    alpha: float
-    pushes: int = 0
-    repushes: int = 0
-    estimate: float = 0.0
+    def __init__(self, residue: list[float], lower: list[float], residue_total: float,
+                 alpha: float, pushes: int = 0, repushes: int = 0, estimate: float = 0.0):
+        self.residue, self.lower = residue, lower
+        self.residue_total, self.alpha = residue_total, alpha
+        self.pushes, self.repushes, self.estimate = pushes, repushes, estimate
 
     @classmethod
     def fresh(cls, graph: TemporalGraph, alpha: float) -> "PushState":

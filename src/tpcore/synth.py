@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import TemporalGraph
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     n: int
     avg_deg: float
     timestamps_per_edge: int

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import marshal
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import tpcore
 from tpcore import TemporalGraph
 from tpcore.cli import BENCH_HEADER, _cached_graph, main
+from tpcore.graph import PACK_LAYOUT
 
 TRI_TEXT = "q a 1\nq b 1\na b 2\n"
 CHAIN3_TEXT = "q a 1\na b 2\n"
@@ -106,14 +108,21 @@ def run(capsys, argv):
 
 # ---- query -----------------------------------------------------------------------
 
-# run in a fresh interpreter, since this one has numpy loaded already
+# run in a fresh interpreter, since this one has numpy loaded already; the
+# modules loaded before tpcore (by ``site``, say) do not count
 NO_NUMPY_QUERY = """
 import sys
+before = set(sys.modules)
 import tpcore.cli
 assert "numpy" not in sys.modules, "importing tpcore.cli imported numpy"
 code = tpcore.cli.main(["query", "--graph", sys.argv[1], "--q", "q", "--alg", sys.argv[2],
                         "--json"])
 assert "numpy" not in sys.modules, "the query imported numpy"
+unused = {"numpy", "dataclasses", "inspect", "csv", "tpcore.synth"}
+if sys.argv[2] == "egr":
+    unused.add("tpcore.local")
+loaded = sorted(unused & (set(sys.modules) - before))
+assert not loaded, f"the query imported {loaded}"
 sys.exit(code)
 """
 
@@ -328,15 +337,28 @@ def test_query_rebuilds_after_the_file_changes(capsys, tmp_path, monkeypatch):
     assert answer(cached_query(capsys, path)[1]) == answer(after)
 
 
+def no_fields(blob):
+    return marshal.dumps((PACK_LAYOUT, sys.byteorder, {}))
+
+
+def without_report(blob):
+    layout, byteorder, fields = marshal.loads(blob)
+    del fields["report"]
+    return marshal.dumps((layout, byteorder, fields))
+
+
 @pytest.mark.parametrize("damage", [lambda b: b[:len(b) // 2], lambda b: b"garbage",
-                                    lambda b: b""])
+                                    lambda b: b"", no_fields, without_report])
 def test_query_rebuilds_a_damaged_entry(capsys, tmp_path, monkeypatch, damage):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "g.txt"
     path.write_text(TRI_TEXT)
     first = cached_query(capsys, path)[1]
     [entry] = entries(tmp_path / "cache")
-    entry.write_bytes(damage(entry.read_bytes()))
+    damaged = damage(entry.read_bytes())
+    entry.write_bytes(damaged)
+    assert run(capsys, ["stats", "--graph", str(path)])[0] == 0
+    entry.write_bytes(damaged)
     rebuilt = cached_query(capsys, path)[1]
     assert rebuilt["cache"] == "miss" and answer(rebuilt) == answer(first)
     assert cached_query(capsys, path)[1]["cache"] == "hit"

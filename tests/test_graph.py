@@ -209,6 +209,13 @@ def test_unpack_rejects_what_pack_did_not_write():
     other = "big" if byteorder == "little" else "little"
     with pytest.raises(ValueError, match="endian"):
         TemporalGraph.unpack(marshal.dumps((layout, other, fields)))
+    # a field missing or one too many: every field name is checked before any is read
+    reports = [{}, {"duplicates": 0}, {**fields["report"], "lines": 9}, [0, 0]]
+    for bad in ([{}, list(fields.items()), {**fields, "index": {}}]
+                + [{k: v for k, v in fields.items() if k != name} for name in fields]
+                + [{**fields, "report": report} for report in reports]):
+        with pytest.raises(ValueError, match="fields"):
+            TemporalGraph.unpack(marshal.dumps((layout, byteorder, bad)))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
