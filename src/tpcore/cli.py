@@ -13,8 +13,9 @@ scores warm.  ``query --json`` reports the ``"cache"`` status.  The library
 never caches.
 
 Each run is a fresh process, so start-up counts in every command: the module
-imports only what an ``egr`` query runs, and the other paths import their own
-modules (``local``, ``synth``, ``csv``) when they run.
+imports only what an ``egr`` query runs, the other paths import their own
+modules (``local``, ``synth``, ``csv``) when they run, and a command runs with
+the cyclic collector paused, which would otherwise scan a restored graph.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ import time
 
 from .community import brute_force_search, exact_community, kcore_baseline
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
-from .graph import PACK_LAYOUT, TemporalGraph, format_edge_stream, read_edge_stream
+from .graph import (PACK_LAYOUT, TemporalGraph, _collector_paused, format_edge_stream,
+                    read_edge_stream)
 from .metrics import community_report
 from .pagerank import DEFAULT_ALPHA, QueryContext, temporal_pagerank
 
@@ -356,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused()
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)

@@ -7,7 +7,8 @@ probability of this walk is the proximity score used throughout the package.
 
 The exact scores come from forward push over the 2m ordered-edge states
 (``PushState``, ``propagate``): seed the start distribution, then drain the
-pending mass in stream (state-id) order, so one pass settles it all.  A push
+pending mass in stream (state-id) order, so one pass settles it all; the
+drain scans in blocks, making an int only for a state holding mass.  A push
 divides one coefficient by each successor's time gap and takes the mass it
 settles off the pending total.  The local search in ``local`` pushes the same
 state selectively and reads its partial sums as bounds.  A power-iteration
@@ -18,13 +19,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, repeat
+from operator import add
 from typing import Callable, Iterable
 
 from .errors import NotConverged
 from .graph import TemporalGraph
 
 DEFAULT_ALPHA = 0.2
+_OFFSETS = tuple(range(1024))  # the offsets of one block of the drain's scan, made once
 
 
 class QueryContext(namedtuple("QueryContext", ["queries", "alpha"])):
@@ -161,11 +164,16 @@ def drain(state: PushState, graph: TemporalGraph) -> None:
 
     Walk continuations strictly increase the timestamp and state ids follow
     the time-sorted stream, so pushing every state in id order empties every
-    residue in a single pass.  ``compress`` skips the states holding no mass
-    at C speed; it reads each residue only when it reaches that state, after
-    every earlier state has pushed into it.
+    residue in a single pass.  The scan runs in blocks over one iterator of
+    the residues: ``compress`` keeps the block's ``_OFFSETS`` (made once) of
+    the states holding mass and stops when they run out, so a massless state
+    costs one truth test and only a kept state's id becomes an int.  It reads
+    each residue only when it reaches that state, after every earlier state
+    has pushed into it.
     """
-    propagate(state, compress(range(2 * graph.m), state.residue), graph, force=True)
+    pending = iter(state.residue)
+    for base in range(0, 2 * graph.m, len(_OFFSETS)):
+        propagate(state, map(add, repeat(base), compress(_OFFSETS, pending)), graph, force=True)
     state.residue_total = 0.0
 
 

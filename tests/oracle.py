@@ -18,7 +18,8 @@ query's component after every removal, and ``reference_exact_community`` the
 exact search that peels the whole graph, and ``reference_expand`` the
 expansion that pushes each vertex's out-states only when it pops.
 ``degree_bounds`` brackets a vertex's proximity degree by a push state's
-bounds, for the sandwich checks.
+bounds, for the sandwich checks.  ``reference_drain`` is the drain as one
+``compress`` over every state id, without blocks.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import heapq
 import math
 import time as _time
 from functools import cache
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -387,6 +389,12 @@ def degree_bounds(state: PushState, graph: TemporalGraph, subset, u: int) -> tup
         if v in space:
             lo += state.lower[v]
     return lo, lo + state.residue_total
+
+
+def reference_drain(state: PushState, graph: TemporalGraph) -> None:
+    """Settle all pending mass: push every state holding mass, in id order, in one scan."""
+    propagate(state, compress(range(2 * graph.m), state.residue), graph, force=True)
+    state.residue_total = 0.0
 
 
 # ---- the expansion as first written, as a reference ----------------------------

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import marshal
@@ -12,7 +13,8 @@ import pytest
 
 import tpcore
 from tpcore import TemporalGraph
-from tpcore.cli import BENCH_HEADER, _cached_graph, main
+import tpcore.cli
+from tpcore.cli import BENCH_HEADER, _cached_graph, cmd_query, main
 from tpcore.graph import PACK_LAYOUT
 
 TRI_TEXT = "q a 1\nq b 1\na b 2\n"
@@ -292,6 +294,23 @@ def test_text_and_json_report_identical_numbers(capsys, tri_file):
     assert f"td={payload['metrics']['td']!r}" in text_out
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_was(capsys, tri_file, enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for argv, code in ((["query", "--graph", tri_file, "--q", "q"], 0),
+                           (["query", "--graph", tri_file, "--q", "zz"], 3),
+                           (["stats", "--graph", tri_file], 0)):
+            assert run(capsys, argv)[0] == code
+            assert gc.isenabled() == enabled
+        with pytest.raises(SystemExit):
+            main(["query", "--graph", tri_file])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 # ---- graph cache ------------------------------------------------------------------
 
 def cached_query(capsys, path, *extra):
@@ -309,6 +328,36 @@ def answer(payload):
 
 def entries(cache_dir):
     return sorted((cache_dir / "tpcore").glob("*")) if (cache_dir / "tpcore").exists() else []
+
+
+@pytest.mark.parametrize("alg", ["egr", "als"])
+def test_query_starts_no_collection(capsys, tmp_path, monkeypatch, tri_file, alg):
+    """A command runs with the collector paused: neither a query that builds and
+    stores its graph nor one that restores it starts a collection, even with a
+    threshold that would start one at the command's first allocation."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    starts = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def watched(args):
+        threshold = gc.get_threshold()
+        gc.callbacks.append(on_collection)
+        gc.set_threshold(1)
+        try:
+            return cmd_query(args)
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(on_collection)
+
+    monkeypatch.setattr(tpcore.cli, "cmd_query", watched)
+    assert gc.isenabled()
+    for cache in ("miss", "hit"):
+        code, payload, _ = cached_query(capsys, tri_file, "--alg", alg)
+        assert (code, payload["cache"]) == (0, cache)
+    assert starts == []
 
 
 @pytest.mark.parametrize("alg", ["egr", "als", "baseline", "brute"])

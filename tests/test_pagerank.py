@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tpcore import (NotConverged, QueryContext, TemporalGraph, exact_community, 
                     temporal_pagerank_multi)
 from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
-from tests.oracle import stop_dict_pagerank
+from tests.oracle import reference_drain, stop_dict_pagerank
 from tests.test_graph import messy_triples
 
 
@@ -180,6 +181,36 @@ def test_one_denominator_per_arrival(monkeypatch):
                      if not oracle.vertex_dangling(g, *oracle.arrival(g, s))}
     assert len(calls) == len(set(calls)) and set(calls) == arrivals
     assert len(arrivals) > 500
+
+
+def graph_of_size(rng, m, times):
+    """A graph of exactly m edges, distinct triples over 60 vertices and ``times``."""
+    triples = [(f"v{u}", f"v{v}", t) for u in range(60) for v in range(u + 1, 60) for t in times]
+    g = TemporalGraph.from_triples(rng.sample(triples, m))
+    assert g.m == m
+    return g
+
+
+@pytest.mark.parametrize("n_states", [1022, 1024, 1026, 2048, 3002])
+def test_block_drain_matches_one_scan(n_states):
+    """The drain scans its states in blocks of 1,024; with 2m just below, at and
+    above multiples of that, and 1-3 timestamps, so that pushes feed later
+    states of the same block and of the next, it settles bit for bit what one
+    scan over every state id settles, for single queries and query sets, and
+    leaves no residue."""
+    assert len(pagerank._OFFSETS) == 1024
+    rng = random.Random(n_states)
+    for top in (3, 2**63 - 1):
+        for horizon in (1, 2, 3):
+            g = graph_of_size(rng, n_states // 2, range(top - horizon + 1, top + 1))
+            for size in (1, 1, 2, 3):
+                ctx = QueryContext(tuple(rng.sample(range(g.n), size)))
+                got, want = pagerank.seed_state(g, ctx), pagerank.seed_state(g, ctx)
+                pagerank.drain(got, g)
+                reference_drain(want, g)
+                assert array("d", got.lower).tobytes() == array("d", want.lower).tobytes()
+                for state in (got, want):
+                    assert set(state.residue) == {0.0} and state.residue_total == 0.0
 
 
 def test_a_restored_filled_graph_computes_no_denominator(monkeypatch):
