@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Check that another checkout's tpcore gives the same answers as this one.
+
+Runs this checkout's src/ and ``other-src`` (the src/ directory of another
+checkout) in one child process each, on the perfbench inputs and on the
+queries that ``perfbench/inputs.pick_queries`` picks for them, at perfbench's
+alpha.  Every query is asked of both solvers.  Two answers agree when, for
+``exact_community``, the per-vertex scores, members, ``beta`` and ``stats``
+are equal, and for ``local_search`` the members, ``epsilon``, ``beta_lower``,
+``fallback``, ``explored`` and ``stats`` are; floats must be equal bit for
+bit.  Prints the number of differing answers per workload and seed, and exits
+1 if any differ.
+
+    python3 scripts/compare_answers.py <other-src> [--workload NAME ...] [--seed N ...]
+"""
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402
+from run import ALPHA  # noqa: E402
+
+# reads [[edge file, [query labels, ...]], ...] on stdin, prints one list of
+# answers per file; argv[1] is the src/ directory to import tpcore from
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tpcore
+out = []
+for path, picks in json.load(sys.stdin):
+    g = tpcore.load_edge_stream(path)
+    answers = []
+    for labels in picks:
+        ctx = tpcore.QueryContext(tuple(g.index[lab] for lab in labels), %r)
+        egr = tpcore.exact_community(g, ctx)
+        als = tpcore.local_search(g, ctx)
+        answers.append({
+            "egr": [egr.scores.per_vertex, egr.labels(g), egr.beta, egr.stats],
+            "als": [als.labels(g), als.epsilon, als.beta_lower, als.fallback,
+                    sorted(g.labels[u] for u in als.explored), als.stats]})
+    out.append(answers)
+    del g
+print(json.dumps(out))
+""" % ALPHA
+
+
+def answers(src: Path, jobs: list) -> list:
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(src)], input=json.dumps(jobs),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the child importing {src} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("other_src", type=Path, help="the src/ directory of the other checkout")
+    ap.add_argument("--workload", nargs="+", choices=sorted(inputs.WORKLOADS),
+                    default=sorted(inputs.WORKLOADS))
+    ap.add_argument("--seed", nargs="+", type=int, default=[1])
+    args = ap.parse_args()
+    if not (args.other_src / "tpcore" / "__init__.py").is_file():
+        ap.error(f"{args.other_src} holds no tpcore package")
+
+    runs = [(name, seed) for name in args.workload for seed in args.seed]
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = []
+        for name, seed in runs:
+            workload = inputs.WORKLOADS[name]
+            triples = inputs.generate(workload.shape, seed)
+            path = Path(tmp) / f"{name}-{seed}.txt"
+            path.write_text(inputs.format_triples(triples), encoding="utf-8")
+            jobs.append([str(path), inputs.pick_queries(workload, triples, seed)])
+            del triples
+        mine, theirs = answers(ROOT / "src", jobs), answers(args.other_src, jobs)
+    differing = 0
+    for (name, seed), (_, picks), a, b in zip(runs, jobs, mine, theirs):
+        diff = [labels for labels, x, y in zip(picks, a, b) if x != y]
+        differing += len(diff)
+        print(f"{name} seed {seed}: {len(diff)} of {len(picks)} answers differ"
+              + (f", first {diff[0]}" if diff else ""))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -180,31 +180,14 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
     qmask = 0
     for q in ctx.queries:
         qmask |= 1 << q
-    adj_mask = [0] * n
-    for u in range(n):
-        for v in graph.adj[u]:
-            adj_mask[u] |= 1 << v
-
-    def connected(mask: int) -> bool:
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            fresh = adj_mask[u] & mask & ~seen
-            while fresh:
-                v = (fresh & -fresh).bit_length() - 1
-                seen |= 1 << v
-                fresh &= fresh - 1
-                frontier.append(v)
-        return seen == mask
-
     best = -1.0
     union = 0
     for mask in range(1, 1 << n):
-        if mask & qmask != qmask or not connected(mask):
+        if mask & qmask != qmask:
             continue
         members = {u for u in range(n) if mask >> u & 1}
+        if len(graph.connected_component(members, ctx.queries[0])) < len(members):
+            continue
         mn = min_proximity_degree(values, graph, members)
         if mn > best:
             best = mn

@@ -285,42 +285,57 @@ class TemporalGraph:
                              queries: Sequence[int]) -> int:
         """Largest k such that one component of universe - removal_log[:k] holds every query.
 
-        Replays the removals backwards into a union-find: the vertices never
-        removed go in first, then removal_log[k] for k from the end down, each
-        joined to its neighbours already present.  Removals only ever split
-        components, so the first k at which the queries share a root is the
-        answer; -1 if not even the whole universe joins them.
+        Replays the removals backwards through ``Components``: the vertices
+        never removed are added first, then removal_log[k] for k from the end
+        down.  Removals only ever split components, so the first k at which
+        the queries are joined is the answer; -1 if not even the whole
+        universe joins them.
         """
         k = len(removal_log)
         if len(queries) == 1:
             return k  # one query always shares its own component; skip the replay
-        parent = {u: u for u in universe}
-        present = set(parent) - set(removal_log)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def join(u: int) -> None:
-            present.add(u)
-            for v in self.adj[u]:
-                if v in present:
-                    parent[find(u)] = find(v)
-
-        for u in list(present):
-            join(u)
-        while len({find(q) for q in queries}) > 1:
+        parts = Components(self.adj)
+        for u in set(universe).difference(removal_log):
+            parts.add(u)
+        while not parts.joins(queries):
             if k == 0:
                 return -1
             k -= 1
-            join(removal_log[k])
+            parts.add(removal_log[k])
         return k
 
     def __repr__(self) -> str:
         return (f"TemporalGraph(n={self.n}, m={self.m}, m_static={self.m_static}, "
                 f"t_max_occurrence={self.t_max_occurrence})")
+
+
+class Components:
+    """Union-find over a growing vertex set: the components of the subgraph
+    that ``adj`` induces on the vertices added so far."""
+
+    def __init__(self, adj: Sequence[Sequence[int]]):
+        self.adj = adj
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        """The root of added vertex x's component."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def add(self, u: int) -> None:
+        """Add u, joining it to each neighbour already added."""
+        parent = self.parent
+        parent[u] = u
+        for v in self.adj[u]:
+            if v in parent:
+                parent[self.find(u)] = self.find(v)
+
+    def joins(self, queries: Sequence[int]) -> bool:
+        """True iff every query is added and they all share one component."""
+        return (all(q in self.parent for q in queries)
+                and len({self.find(q) for q in queries}) == 1)
 
 
 # ---- edge-stream text format ---------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .community import _peel, proximity_degree
 from .errors import QueriesDisconnected, QueryNotInSet
-from .graph import TemporalGraph
+from .graph import Components, TemporalGraph
 from .pagerank import PushState, QueryContext, drain, propagate, seed_state
 
 # drift allowance for the expansion pruning comparisons: bound sums and the
@@ -55,10 +55,11 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     a query set the estimate counts only once the expanded set joins every
     query, since before that it bounds no community that holds them all.
     When the whole frontier falls below that estimate it is merged in and
-    expansion stops.  While the queries' search trees are apart the estimate
-    stays 0, so nothing is pruned and the expansion reaches every vertex of
-    their components; if it ends with the trees still apart, the queries lie
-    in different components and QueriesDisconnected is raised.  The state
+    expansion stops.  Until the expanded set joins the queries, which a
+    ``graph.Components`` of the popped vertices tells, the estimate stays 0,
+    so nothing is pruned and the expansion reaches every vertex of their
+    components; if it ends with them still apart, the queries lie in
+    different components and QueriesDisconnected is raised.  The state
     records the pushes made, the re-pushes among them and the final estimate.
     ``inspect`` (tests) is called after every pop and its re-push with the
     push state, expanded list, visited set, and estimate.
@@ -69,7 +70,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     inc_states = graph.inc_states
     lower = state.lower
     expanded: list[int] = []
-    in_expanded: set[int] = set()
+    # the lower-bound degree of each popped vertex; its keys are the membership test
     rho_hat: dict[int, float] = {}
     # one entry per expanded vertex; estimates only grow, so a stale entry
     # under-keys its vertex and is re-keyed when it reaches the top
@@ -91,27 +92,19 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             frontier_sum += delta
         # only expanded vertices contribute to expanded degrees; bounds gained
         # by a vertex still outside are picked up when it joins
-        if vertex not in in_expanded:
+        if vertex not in rho_hat:
             return
         if vertex not in fed:
             fed.add(vertex)
             heapq.heappush(fed_heap, (inc_states[vertex][0], vertex))
         for w in adj[vertex]:
-            if w in in_expanded:
+            if w in rho_hat:
                 rho_hat[w] += delta
 
     # the estimate bounds the optimum only once the expanded set joins every
-    # query; until then each expanded vertex records the query whose search
-    # tree it grew in, and trees meeting along an edge are merged
-    tree = {q: i for i, q in enumerate(queries)}
-    merged = list(range(len(queries)))
-    trees_left = len(queries)
-
-    def root(i: int) -> int:
-        while merged[i] != i:
-            i = merged[i]
-        return i
-
+    # query; until then each popped vertex is added to the components
+    joined = len(queries) == 1
+    parts = Components(adj)
     beta_hat = 0.0
     credit = 0
     repushes = 0
@@ -124,25 +117,19 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         u = heapq.heappop(frontier)[1]
         queued.discard(u)
         frontier_sum -= lower[u]
-        in_expanded.add(u)
         expanded.append(u)
         row = adj[u]
         credit += len(row)
         val = 0.0
         for v in row:
-            if v in in_expanded:
+            if v in rho_hat:
                 rho_hat[v] += lower[u]
                 val += lower[v]
         rho_hat[u] = val
         heapq.heappush(rho_heap, (val, u))
-        if trees_left > 1:
-            mine = root(tree[u])
-            for v in row:
-                if v in in_expanded:
-                    other = root(tree[v])
-                    if other != mine:
-                        merged[other] = mine
-                        trees_left -= 1
+        if not joined:  # the queries pop first, so all are in before any other vertex
+            parts.add(u)
+            joined = parts.joins(queries)
         propagate(state, inc_states[u], graph, on_lower, force=u in query_set)
         # re-push stranded mass, paid for by the reads made so far
         while fed_heap and credit > 0:
@@ -157,7 +144,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         while current_min != rho_hat[v]:
             heapq.heapreplace(rho_heap, (rho_hat[v], v))
             current_min, v = rho_heap[0]
-        if current_min > beta_hat and trees_left == 1:
+        if current_min > beta_hat and joined:
             beta_hat = current_min
         for v in row:
             if v in visited:
@@ -171,14 +158,10 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 heapq.heappush(frontier, (-lower[v], v))
                 queued.add(v)
                 frontier_sum += lower[v]
-                if trees_left > 1:
-                    tree[v] = tree[u]
         if frontier:
             pending = state.residue_total + frontier_sum
             if pending < beta_hat - BOUND_SLACK:
-                for _, w in frontier:
-                    in_expanded.add(w)
-                    expanded.append(w)
+                expanded.extend(w for _, w in frontier)
                 frontier.clear()
                 queued.clear()
                 if inspect is not None:
@@ -186,7 +169,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 break
         if inspect is not None:
             inspect(state, expanded, visited, beta_hat)
-    if trees_left > 1:
+    if not joined:
         raise QueriesDisconnected("query vertices lie in different components")
     state.pushes, state.repushes, state.estimate = pushes, repushes, beta_hat
     return expanded, state

@@ -479,6 +479,30 @@ def test_connected_component(tri, chain3):
         chain3.connected_component({ca, cb}, cq)
 
 
+def test_last_connected_round_matches_a_scan():
+    """The largest k at which one component of universe - removal_log[:k]
+    holds every query, found by scanning k with ``oracle.joins``; -1 when the
+    whole universe does not join them, and len(removal_log) for one query."""
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(400):
+        g = random_temporal_graph(rng, n_max=10, m_max=12)
+        universe = rng.sample(range(g.n), rng.randint(1, g.n))
+        queries = rng.sample(universe, min(len(universe), rng.randint(1, 3)))
+        rest = [u for u in universe if u not in queries]
+        log = rng.sample(rest, rng.randint(0, len(rest)))
+        got = g.last_connected_round(universe, log, queries)
+        if len(queries) == 1:
+            assert got == len(log)
+            outcomes.add("single")
+            continue
+        want = max([k for k in range(len(log) + 1)
+                    if oracle.joins(g, set(universe) - set(log[:k]), queries)], default=-1)
+        assert got == want, (universe, log, queries)
+        outcomes.add("-1" if want < 0 else "all" if want == len(log) else "some")
+    assert outcomes == {"single", "-1", "all", "some"}
+
+
 def test_temporal_occurrence(tri, chain3):
     """A vertex's occurrence counts the distinct timestamps on its edges: the
     graph keeps the largest, and ``tpcore bench --stratified`` ranks by it."""

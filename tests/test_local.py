@@ -617,6 +617,21 @@ def test_query_set_estimate_waits_for_the_queries_to_join():
     assert exact.beta <= approx.epsilon * approx.beta_lower * (1 + 1e-12) + 1e-15
 
 
+def test_query_set_estimate_is_zero_until_the_expanded_set_joins_the_queries():
+    """Sets of 2-3 queries from one component: at every ``inspect`` call at
+    which the expanded set does not join every query, the estimate is 0."""
+    rng = random.Random(24)
+    apart = 0
+    for g, ctx in query_set_contexts(rng, 80, n_max=20, m_max=40):
+        def inspect(state, expanded, visited, beta_hat):
+            nonlocal apart
+            if not tests.oracle.joins(g, expanded, ctx.queries):
+                assert beta_hat == 0.0, (expanded, ctx.queries)
+                apart += 1
+        expand(g, ctx, inspect)
+    assert apart
+
+
 def test_query_set_certificate_on_path():
     """Path c-a-b-d, every edge at time 2, queries (c, a): beta_lower must not
     exceed the answer's true minimum proximity degree (1/4, not 1/3)."""

@@ -93,3 +93,11 @@ def test_names_perfbench_calls_still_exist(tmp_path):
     # the self-test's oracles
     assert tpcore.power_iteration_pagerank(g, ctx).values.shape == (g.n,)
     assert tpcore.brute_force_search(g, ctx).members == egr.members
+
+
+def test_compare_answers_finds_none_differing_against_its_own_checkout():
+    proc = subprocess.run([sys.executable, "scripts/compare_answers.py", str(ROOT / "src"),
+                           "--workload", "query-sets", "--seed", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "query-sets seed 1: 0 of 72 answers differ\n"
