@@ -8,13 +8,19 @@ alpha.  Every query is asked of both solvers.  Two answers agree when, for
 ``exact_community``, the per-vertex scores, members, ``beta`` and ``stats``
 are equal, and for ``local_search`` the members, ``epsilon``, ``beta_lower``,
 ``fallback``, ``explored`` and ``stats`` are; floats must be equal bit for
-bit.  Prints the number of differing answers per workload and seed, and exits
-1 if any differ.
+bit.  Each child also runs its checkout's ``tpcore.cli.main`` with
+``query --json --alg egr`` and ``--alg als`` on the first 4 picks of each
+input, with a graph cache of its own (cache keys do not name the checkout, so
+a shared cache would hand the second checkout the first one's entries); two
+outputs agree when the exit codes and everything but ``timings`` and
+``cache``, the order of the keys included, are equal.  Prints the number of differing answers and command-line
+outputs per workload and seed, and exits 1 if any differ.
 
     python3 scripts/compare_answers.py <other-src> [--workload NAME ...] [--seed N ...]
 """
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,12 +31,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 from run import ALPHA  # noqa: E402
 
-# reads [[edge file, [query labels, ...]], ...] on stdin, prints one list of
-# answers per file; argv[1] is the src/ directory to import tpcore from
+# the number of picks per input that the command line is run on
+CLI_PICKS = 4
+
+# reads [[edge file, [query labels, ...]], ...] on stdin, prints one
+# [answers, command-line outputs] pair per file; argv[1] is the src/ directory
+# to import tpcore from
 CHILD = """
-import json, sys
+import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import tpcore
+from tpcore.cli import main
 out = []
 for path, picks in json.load(sys.stdin):
     g = tpcore.load_edge_stream(path)
@@ -43,15 +54,28 @@ for path, picks in json.load(sys.stdin):
             "egr": [egr.scores.per_vertex, egr.labels(g), egr.beta, egr.stats],
             "als": [als.labels(g), als.epsilon, als.beta_lower, als.fallback,
                     sorted(g.labels[u] for u in als.explored), als.stats]})
-    out.append(answers)
     del g
+    outputs = []
+    for labels in picks[:%d]:
+        for alg in ("egr", "als"):
+            argv = ["query", "--graph", path, "--alg", alg, "--alpha", %r, "--json"]
+            for lab in labels:
+                argv += ["--q", lab]
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code = main(argv)
+            payload = json.loads(text.getvalue())
+            # as text, so that the order of the keys is compared too
+            outputs.append([code, json.dumps({key: value for key, value in payload.items()
+                                              if key not in ("timings", "cache")})])
+    out.append([answers, outputs])
 print(json.dumps(out))
-""" % ALPHA
+""" % (ALPHA, CLI_PICKS, repr(ALPHA))
 
 
-def answers(src: Path, jobs: list) -> list:
+def answers(src: Path, jobs: list, cache: Path) -> list:
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src)], input=json.dumps(jobs),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, XDG_CACHE_HOME=str(cache)))
     if proc.returncode != 0:
         raise SystemExit(f"error: the child importing {src} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
@@ -78,13 +102,18 @@ def main() -> int:
             path.write_text(inputs.format_triples(triples), encoding="utf-8")
             jobs.append([str(path), inputs.pick_queries(workload, triples, seed)])
             del triples
-        mine, theirs = answers(ROOT / "src", jobs), answers(args.other_src, jobs)
+        mine = answers(ROOT / "src", jobs, Path(tmp) / "cache-this")
+        theirs = answers(args.other_src, jobs, Path(tmp) / "cache-other")
     differing = 0
-    for (name, seed), (_, picks), a, b in zip(runs, jobs, mine, theirs):
+    for (name, seed), (_, picks), (a, a_cli), (b, b_cli) in zip(runs, jobs, mine, theirs):
         diff = [labels for labels, x, y in zip(picks, a, b) if x != y]
-        differing += len(diff)
+        cli_picks = [(labels, alg) for labels in picks[:CLI_PICKS] for alg in ("egr", "als")]
+        cli_diff = [pick for pick, x, y in zip(cli_picks, a_cli, b_cli) if x != y]
+        differing += len(diff) + len(cli_diff)
         print(f"{name} seed {seed}: {len(diff)} of {len(picks)} answers differ"
-              + (f", first {diff[0]}" if diff else ""))
+              + (f", first {diff[0]}" if diff else "")
+              + f"; {len(cli_diff)} of {len(cli_picks)} CLI outputs differ"
+              + (f", first {cli_diff[0]}" if cli_diff else ""))
     return 1 if differing else 0
 
 

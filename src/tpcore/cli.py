@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -138,6 +137,15 @@ def cmd_query(args: argparse.Namespace) -> int:
     except UnknownLabel as exc:
         return _fail(3, "UnknownLabel", str(exc), args.json)
     ctx = QueryContext(tuple(ids), args.alpha)
+    if args.alg == "als":
+        from .local import local_search as solve
+    else:
+        solve = {"egr": exact_community, "brute": brute_force_search,
+                 "baseline": lambda g, c: kcore_baseline(g, c, args.k)}[args.alg]
+    try:
+        result = solve(graph, ctx)
+    except CommunitySearchError as exc:
+        return _fail(4, type(exc).__name__, str(exc), args.json)
 
     response: dict = {
         "algorithm": args.alg,
@@ -146,31 +154,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         "graph": {"n": graph.n, "m": graph.m, "m_static": graph.m_static,
                   "t_max_occurrence": graph.t_max_occurrence},
         "cache": cache,
+        "beta": result.beta,
     }
-    try:
-        if args.alg == "als":
-            from .local import local_search
-            result = local_search(graph, ctx)
-            scores = None
-            response["beta"] = result.beta_lower
-            response["epsilon"] = result.epsilon
-            response["fallback"] = result.fallback
-            response["explored_fraction"] = len(result.explored) / graph.n
-        else:
-            solve = {"egr": exact_community, "brute": brute_force_search,
-                     "baseline": functools.partial(kcore_baseline, k=args.k)}[args.alg]
-            result = solve(graph, ctx)
-            scores = result.scores
-            response["beta"] = result.beta
-            if args.alg == "baseline":
-                response["k"] = args.k
-    except CommunitySearchError as exc:
-        return _fail(4, type(exc).__name__, str(exc), args.json)
+    if args.alg == "als":
+        response["epsilon"] = result.epsilon
+        response["fallback"] = result.fallback
+        response["explored_fraction"] = len(result.explored) / graph.n
+    elif args.alg == "baseline":
+        response["k"] = args.k
 
     t1 = time.perf_counter()
-    if scores is None:
-        # md reports the true minimum degree, so als also pays a full score pass
-        scores = temporal_pagerank(graph, ctx)
+    # md reports the true minimum degree, so als also pays a full score pass
+    scores = result.scores or temporal_pagerank(graph, ctx)
     response["community"] = result.labels(graph)
     response["metrics"] = community_report(graph, scores, result.members).to_dict()
     response["timings"] = {"load_s": load_s, **result.timings,

@@ -21,9 +21,11 @@ from .pagerank import QueryContext, ScoreVector, temporal_pagerank
 
 
 class CommunityResult:
+    """Every solver's answer; ``beta`` is the optimum, or ``als``'s certified lower bound."""
+
     def __init__(self, members: frozenset[int], beta: float, algorithm: str,
                  timings: dict[str, float] | None = None, scores: ScoreVector | None = None,
-                 stats: dict[str, float] | None = None):
+                 stats: dict[str, object] | None = None):
         self.members, self.beta, self.algorithm, self.scores = members, beta, algorithm, scores
         self.timings, self.stats = timings or {}, stats or {}
 

@@ -340,14 +340,13 @@ class Components:
 
 # ---- edge-stream text format ---------------------------------------------
 
-@_collector_paused()
 def parse_edge_stream(source: TextIO | Iterable[str]) -> TemporalGraph:
     """Parse "u v t" lines into a TemporalGraph.
 
     Blank lines and '#'-prefixed comments are ignored.  Input need not be
     sorted.  Raises MalformedLine (with line number) on bad records and
-    EmptyGraph when nothing survives cleaning.  The collector stays paused
-    from the first read of ``source`` on.
+    EmptyGraph when nothing survives cleaning.  ``map`` is lazy, so the first
+    read of ``source`` already happens inside the constructor's collector pause.
     """
     return TemporalGraph(map(str.split, source))
 

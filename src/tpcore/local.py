@@ -21,7 +21,7 @@ import math
 import time
 from typing import Callable, Sequence
 
-from .community import _peel, proximity_degree
+from .community import CommunityResult, _peel, proximity_degree
 from .errors import QueriesDisconnected, QueryNotInSet
 from .graph import Components, TemporalGraph
 from .pagerank import PushState, QueryContext, drain, propagate, seed_state
@@ -59,8 +59,8 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     ``graph.Components`` of the popped vertices tells, the estimate stays 0,
     so nothing is pruned and the expansion reaches every vertex of their
     components; if it ends with them still apart, the queries lie in
-    different components and QueriesDisconnected is raised.  The state
-    records the pushes made, the re-pushes among them and the final estimate.
+    different components and QueriesDisconnected is raised.  The state's ``stats``
+    get the pushes, the re-pushes among them, the pending residue and the estimate.
     ``inspect`` (tests) is called after every pop and its re-push with the
     push state, expanded list, visited set, and estimate.
     """
@@ -171,42 +171,34 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             inspect(state, expanded, visited, beta_hat)
     if not joined:
         raise QueriesDisconnected("query vertices lie in different components")
-    state.pushes, state.repushes, state.estimate = pushes, repushes, beta_hat
+    state.stats.update(pushes=pushes, repushes=repushes, residue=state.residue_total,
+                       estimate=beta_hat)
     return expanded, state
 
 
-class ApproxResult:
-    """Community with a certified approximation ratio.
+class ApproxResult(CommunityResult):
+    """The ``CommunityResult`` of ``als``, with a certified approximation ratio.
 
-    beta_lower is a lower bound of every member's proximity degree inside the
-    returned community; the exact optimum is at most epsilon times it.
-    fallback marks answers where the lower bounds certified nothing (their
-    peel's best degree was 0), so the push was drained and the expanded set
-    peeled on the exact scores: such an answer is exact, with epsilon 1.
+    beta, also read as ``beta_lower``, lower-bounds every member's proximity
+    degree inside the community; the exact optimum is at most epsilon times it.
+    fallback marks answers whose lower bounds certified nothing (their peel's
+    best degree was 0), so the push was drained and the expanded set peeled on
+    the exact scores: such an answer is exact, with epsilon 1.  scores is None.
     """
 
-    def __init__(self, members: frozenset[int], epsilon: float, beta_lower: float,
-                 fallback: bool, explored: frozenset[int], algorithm: str = "als",
-                 timings: dict[str, float] | None = None, work: dict[str, float] | None = None):
-        self.members, self.epsilon, self.beta_lower = members, epsilon, beta_lower
-        self.fallback, self.explored, self.algorithm = fallback, explored, algorithm
-        # work: the expansion's pushes, re-pushes, pending residue and estimate when
-        # it stopped, and the size of the universe of the reduce peel giving the answer
-        self.timings, self.work = timings or {}, work or {}
+    def __init__(self, members: frozenset[int], epsilon: float, beta: float, fallback: bool,
+                 explored: frozenset[int], stats: dict[str, object]):
+        super().__init__(members, beta, "als", stats=stats)
+        self.epsilon, self.fallback, self.explored = epsilon, fallback, explored
 
-    def labels(self, graph: TemporalGraph) -> list[str]:
-        return sorted(graph.labels[u] for u in self.members)
+    @property
+    def beta_lower(self) -> float:
+        return self.beta
 
     @property
     def epsilon_trace(self) -> tuple[float, ...]:
         """The certified levels of the reduction: its one peel certifies epsilon."""
         return (self.epsilon,)
-
-    @property
-    def stats(self) -> dict[str, object]:
-        """What the search did: vertices explored, the certified level, its work."""
-        return {"explored": len(self.explored), "epsilon_trace": list(self.epsilon_trace),
-                **self.work}
 
 
 def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph,
@@ -229,6 +221,8 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     epsilon * beta_lower >= temp holds in floats.  If beta_p is 0 the push is
     drained and the expanded set, which covers the exact community, is peeled
     on the exact scores: that answer is exact, epsilon 1, fallback True.
+    ``stats`` splices the state's own between the epsilon trace and the peel's
+    universe size: a state that never went through ``expand`` adds no counter.
     """
     queries = ctx.queries
     # copied from a set, the frozenset's table is sized to fit: half the
@@ -238,8 +232,7 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     for q in queries:
         if q not in explored:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
-    residue = state.residue_total
-    temp = min(proximity_degree(lower, graph, explored, q) for q in queries) + residue
+    temp = min(proximity_degree(lower, graph, explored, q) for q in queries) + state.residue_total
     settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
     peeled = (_peel(graph, lower, queries, universe := settled)
               or _peel(graph, lower, queries, universe := expanded))
@@ -258,10 +251,10 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
         drain(state, graph)
         kept, beta = _peel(graph, lower, queries, universe := expanded)
         epsilon, fallback = 1.0, True
-    work = {"pushes": state.pushes, "repushes": state.repushes, "residue": residue,
-            "estimate": state.estimate, "universe": len(universe)}
+    stats = {"explored": len(explored), "epsilon_trace": [epsilon], **state.stats,
+             "universe": len(universe)}
     return ApproxResult(frozenset(graph.connected_component(kept, queries[0])), epsilon,
-                        beta, fallback, explored, work=work)
+                        beta, fallback, explored, stats)
 
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:

@@ -80,16 +80,15 @@ class PushState:
     v; together they always hold the full unit of start mass, so lower[v] is a
     certified lower bound of v's proximity score.  Both are Python lists,
     because every push reads and writes them one element at a time.
-    ``local.expand`` records in pushes the states it pushed, in repushes
-    those that moved mass stranded on an expanded vertex, and in estimate its
-    final minimum-degree estimate.
+    ``stats`` holds the work counters of the push, empty until ``local.expand``
+    fills it; ``local.reduce_stage`` copies them into its result's ``stats``.
     """
 
     def __init__(self, residue: list[float], lower: list[float], residue_total: float,
-                 alpha: float, pushes: int = 0, repushes: int = 0, estimate: float = 0.0):
+                 alpha: float):
         self.residue, self.lower = residue, lower
         self.residue_total, self.alpha = residue_total, alpha
-        self.pushes, self.repushes, self.estimate = pushes, repushes, estimate
+        self.stats: dict[str, float] = {}
 
     @classmethod
     def fresh(cls, graph: TemporalGraph, alpha: float) -> "PushState":

@@ -100,3 +100,24 @@ def test_load_report_compares_by_value():
     assert LoadReport(1, 2) != LoadReport(2, 1)
     assert LoadReport(1, 2) != (1, 2)
     assert vars(LoadReport(1, 2)) == {"duplicates": 1, "self_loops": 2}
+
+
+@pytest.mark.parametrize("solve", [
+    tpcore.exact_community, tpcore.local_search, tpcore.brute_force_search,
+    lambda g, ctx: tpcore.kcore_baseline(g, ctx, 1)], ids=["egr", "als", "brute", "baseline"])
+def test_every_solver_returns_the_one_result_record(tri, solve):
+    res = solve(tri, QueryContext.single(tri.index["q"]))
+    assert isinstance(res, tpcore.CommunityResult)
+    assert res.labels(tri) == ["a", "b", "q"] and isinstance(res.beta, float)
+    assert set(res.timings) == {"score_s", "search_s"}
+    assert isinstance(res.stats, dict)
+
+
+def test_the_local_result_keeps_its_certificate_names(tri):
+    als = tpcore.local_search(tri, QueryContext.single(tri.index["q"]))
+    assert isinstance(als, tpcore.ApproxResult) and als.algorithm == "als"
+    assert als.beta_lower == als.beta and als.scores is None
+    assert als.stats is als.stats  # a stored dict, not one rebuilt per read
+    assert list(als.stats) == ["explored", "epsilon_trace", "pushes", "repushes",
+                               "residue", "estimate", "universe"]
+    assert als.stats["epsilon_trace"] == list(als.epsilon_trace) == [als.epsilon]

@@ -237,6 +237,9 @@ def test_loading_leaves_the_collector_as_it_was(enabled, tmp_path):
 
 
 def test_loading_pauses_the_collector():
+    """The collector is paused from the first record read on.  The constructor
+    pauses it; ``parse_edge_stream``'s lazy ``map`` calls ``iter`` on its source
+    before that, which reads nothing, and takes the first line inside it."""
     seen = []
 
     class Spy(list):
@@ -244,10 +247,16 @@ def test_loading_pauses_the_collector():
             seen.append(gc.isenabled())
             return super().__iter__()
 
+    def records(items):
+        seen.append(gc.isenabled())  # runs when the first record is taken
+        yield from items
+
     assert gc.isenabled()
     TemporalGraph.from_triples(Spy([("q", "a", 1)]))
-    parse_edge_stream(Spy(["q a 1"]))
-    assert seen == [False, False]
+    TemporalGraph.from_triples(records([("q", "a", 1)]))
+    parse_edge_stream(records(["q a 1"]))
+    assert seen == [False, False, False]
+    assert gc.isenabled()
 
 
 # ---- structure invariants ----------------------------------------------------

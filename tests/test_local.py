@@ -105,7 +105,7 @@ def test_mass_conservation_through_expansion():
             assert state.residue_total == pytest.approx(sum(state.residue), abs=1e-9)
             assert state.residue_total >= math.fsum(state.residue) - tpcore.local.BOUND_SLACK
 
-        repushes += expand(g, ctx, inspect=check)[1].repushes
+        repushes += expand(g, ctx, inspect=check)[1].stats["repushes"]
     assert repushes > 0  # the checks saw re-pushed mass
 
 
@@ -175,7 +175,7 @@ def test_expansion_matches_the_reference_until_it_re_pushes():
         ctx = QueryContext.single(rng.randrange(g.n))
         seen, ref_seen = [], []
         expanded, state = expand(g, ctx, inspect=lambda s, c, d, bh: seen.append(bh))
-        if state.repushes:
+        if state.stats["repushes"]:
             continue
         ref_expanded, ref_state = reference_expand(
             g, ctx, inspect=lambda s, c, d, bh: ref_seen.append(bh))
@@ -292,7 +292,7 @@ def test_sandwich_on_random_graphs():
                 assert lo <= rho[u] + 1e-9
                 assert rho[u] <= hi + 1e-9
 
-        repushes += expand(g, ctx, inspect=check)[1].repushes
+        repushes += expand(g, ctx, inspect=check)[1].stats["repushes"]
     assert repushes > 0  # the checks saw re-pushed mass
 
 
@@ -333,6 +333,16 @@ def test_reduce_singleton(tri):
     assert labels(tri, res.members) == ["q"]
     assert res.epsilon == 1.0
     assert res.beta_lower == 0.0
+
+
+def test_reduce_of_a_hand_built_state_reports_no_expansion(tri):
+    """A state that never went through ``expand`` carries no push counters, so
+    the result's stats hold only what the reduction itself knows."""
+    ctx = ctx_for(tri)
+    state = PushState.fresh(tri, ctx.alpha)
+    state.lower[:] = [0.25, 0.25, 0.5]
+    res = reduce_stage(list(range(tri.n)), state, tri, ctx)
+    assert res.stats == {"explored": 3, "epsilon_trace": [res.epsilon], "universe": 3}
 
 
 def test_reduce_keeps_rounds_before_a_middle_split():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -100,4 +101,23 @@ def test_compare_answers_finds_none_differing_against_its_own_checkout():
                            "--workload", "query-sets", "--seed", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "query-sets seed 1: 0 of 72 answers differ\n"
+    assert proc.stdout == ("query-sets seed 1: 0 of 72 answers differ; "
+                           "0 of 8 CLI outputs differ\n")
+
+
+def test_compare_answers_reports_a_cli_that_prints_one_more_key(tmp_path):
+    """A checkout whose library answers agree but whose ``query --json`` adds a
+    key differs in every command-line output, and the script exits 1."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "tpcore" / "cli.py"
+    text = cli.read_text()
+    line = '    response["stats"] = result.stats\n'
+    assert text.count(line) == 1
+    cli.write_text(text.replace(line, line + '    response["extra"] = 1\n'))
+    proc = subprocess.run([sys.executable, "scripts/compare_answers.py", str(src),
+                           "--workload", "query-sets", "--seed", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("query-sets seed 1: 0 of 72 answers differ; "
+                                  "8 of 8 CLI outputs differ, first ")
