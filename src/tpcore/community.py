@@ -50,15 +50,17 @@ def min_proximity_degree(scores, graph: TemporalGraph, members: Iterable[int]) -
 
 
 def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
-          universe: Sequence[int]) -> tuple[set[int], float] | None:
+          universe: Sequence[int]) -> tuple[set[int], float, float] | None:
     """Greedy removal of minimum-degree vertices inside ``universe``.
 
     The universe holds every query.  Returns the best snapshot (the universe
-    less the removals before the best round) and its minimum degree, all
-    degrees taken inside the universe, or None if no component of the
-    universe holds every query.  The queries' component of the snapshot has
-    the same minimum, or the component's own first extraction, later and with
-    the queries still joined, would have won.
+    less the removals before the best round), its minimum degree, all degrees
+    taken inside the universe, and the largest round degree, connectivity
+    ignored and rounded up: the largest minimum degree of a subset of the
+    universe that holds the queries (Sozio & Gionis 2010).  Returns None if no
+    component of the universe holds every query.  The queries' component of
+    the snapshot has the same minimum, or the component's own first
+    extraction, later and with the queries still joined, would have won.
     Ties extract the smallest vertex id with query vertices deferred last;
     extracting a query ends the loop (its degree still competes for the best
     snapshot, otherwise the reported optimum would go stale when the query
@@ -84,12 +86,15 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
     # degree of each round's extracted vertex, correctly rounded (int division
     # is), so it equals the math.fsum of its neighbours' scores
     round_degrees: list[float] = []
+    top = 0
 
     while heap:
         val, _, u = heapq.heappop(heap)
         if val != rho.get(u):
             continue
         round_degrees.append(val / scale)
+        if val > top:
+            top = val
         if u in qset:
             break
         del rho[u]
@@ -105,7 +110,10 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
     if last < 0:
         return None
     best_beta = max(round_degrees[:last + 1])
-    return exact.keys() - removal_log[:round_degrees.index(best_beta)], best_beta
+    num, den = (bound := top / scale).as_integer_ratio()
+    if num * scale < top * den:  # the division rounded down
+        bound = math.nextafter(bound, math.inf)
+    return exact.keys() - removal_log[:round_degrees.index(best_beta)], best_beta, bound
 
 
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
@@ -144,7 +152,7 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
                 key = -math.inf if v in qset else -math.fsum([values[w] for w in adj[v]])
                 heapq.heappush(heap, (key, v))
         if not missing and len(taken) >= 2 * bound_set:
-            survivors, beta = _peel(graph, values, queries, taken)
+            survivors, beta, _ = _peel(graph, values, queries, taken)
             bound, bound_set = beta, len(taken)
         if not heap or -heap[0][0] < bound:
             break
@@ -154,7 +162,7 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     if missing:
         raise QueriesDisconnected("query vertices lie in different components")
     if len(taken) > bound_set:
-        survivors, beta = _peel(graph, values, queries, taken)
+        survivors, beta, _ = _peel(graph, values, queries, taken)
     members = frozenset(graph.connected_component(survivors, queries[0]))
     t2 = time.perf_counter()
     return CommunityResult(members, beta, "egr",

@@ -9,8 +9,9 @@ per vertex lower-bounds its proximity score, and adding the total pending
 residue gives upper bounds, which prune the expansion while guaranteeing the
 expanded set still covers the exact community.  Stage two
 peels the expanded set once, greedily and on the lower bounds, with the
-exact solver's peel; its best minimum degree certifies the ratio of a
-query's degree upper bound to it.  The paper's stage two peels at
+exact solver's peel; its best minimum degree is the certified lower bound,
+and its largest round degree plus the pending residue bounds the optimum
+from above.  The paper's stage two peels at
 geometrically shrinking levels instead; those levels are nested thresholds
 of this one min-degree cascade.
 """
@@ -181,6 +182,7 @@ class ApproxResult(CommunityResult):
 
     beta, also read as ``beta_lower``, lower-bounds every member's proximity
     degree inside the community; the exact optimum is at most epsilon times it.
+    Unless it fell back, epsilon is (stats["peel_bound"] + stats["residue"]) / beta, at least 1.
     fallback marks answers whose lower bounds certified nothing (their peel's
     best degree was 0), so the push was drained and the expanded set peeled on
     the exact scores: such an answer is exact, with epsilon 1.  scores is None.
@@ -205,24 +207,28 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
                  ctx: QueryContext) -> ApproxResult:
     """Peel the expanded set down to a certified approximate community.
 
-    temp, the least lower-bound degree of a query over the expanded set plus
-    the pending residue, upper-bounds the exact optimum: every query lies in
-    the optimum, which lies in the expanded set.  One greedy peel
-    (``community._peel``, exact integer degrees) of the expanded vertices
-    holding settled mass, and of the queries, on the lower bounds finds the
-    best minimum degree beta_p of a set that joins the queries; if those
-    vertices do not join the queries (the peel returns None), the whole
-    expanded set is peeled, and if that does not join them either,
-    QueriesDisconnected is raised.  A massless vertex adds 0 to every degree,
-    so each expanded one whose degree into the kept set reaches beta_p is
-    re-admitted; it can join kept parts.
+    One greedy peel (``community._peel``, exact integer degrees) of the
+    expanded vertices holding settled mass, and of the queries, on the lower
+    bounds finds the best minimum degree beta_p of a set that joins the
+    queries; if those vertices do not join the queries (the peel returns
+    None), the whole expanded set is peeled, and if that does not join them
+    either, QueriesDisconnected is raised.  A massless vertex adds 0 to every
+    degree, so each expanded one whose degree into the kept set reaches beta_p
+    is re-admitted; it can join kept parts.
+    The same peel's largest round degree, connectivity ignored and rounded
+    up, plus the pending residue P, upper-bounds the exact optimum: the
+    optimum lies in the expanded set, each member's true degree in it is at
+    most its lower-bound degree there plus P, and the first round that takes
+    a member takes it at a degree at least the optimum's least lower-bound
+    degree (Sozio & Gionis 2010).  For one query that round degree is beta_p.
     The answer is the queries' component, with beta_lower = beta_p and
-    epsilon = temp / beta_p (at least 1), rounded up so that
-    epsilon * beta_lower >= temp holds in floats.  If beta_p is 0 the push is
+    epsilon = upper / beta_p (at least 1), rounded up so that
+    epsilon * beta_lower >= upper holds in floats.  If beta_p is 0 the push is
     drained and the expanded set, which covers the exact community, is peeled
     on the exact scores: that answer is exact, epsilon 1, fallback True.
     ``stats`` splices the state's own between the epsilon trace and the peel's
-    universe size: a state that never went through ``expand`` adds no counter.
+    universe size, then ends with that peel's bound, ``peel_bound``: a state
+    that never went through ``expand`` adds no counter.
     """
     queries = ctx.queries
     # copied from a set, the frozenset's table is sized to fit: half the
@@ -232,27 +238,27 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     for q in queries:
         if q not in explored:
             raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
-    temp = min(proximity_degree(lower, graph, explored, q) for q in queries) + state.residue_total
     settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
     peeled = (_peel(graph, lower, queries, universe := settled)
               or _peel(graph, lower, queries, universe := expanded))
     if peeled is None:
         raise QueriesDisconnected("the expanded set does not join the query vertices")
-    kept, beta = peeled
+    kept, beta, bound = peeled
     if beta > 0.0:
         # a re-admitted vertex has degree >= beta > 0 into kept, so it borders kept
         border = {w for u in kept for w in graph.adj[u]} - kept
         kept.update([u for u in border if lower[u] == 0.0 and u in explored
                      and proximity_degree(lower, graph, kept, u) >= beta])
-        epsilon, fallback = max(1.0, temp / beta), False
-        while epsilon * beta < temp:
+        upper = bound + state.residue_total
+        epsilon, fallback = max(1.0, upper / beta), False
+        while epsilon * beta < upper:
             epsilon = math.nextafter(epsilon, math.inf)
     else:
         drain(state, graph)
-        kept, beta = _peel(graph, lower, queries, universe := expanded)
+        kept, beta, bound = _peel(graph, lower, queries, universe := expanded)
         epsilon, fallback = 1.0, True
     stats = {"explored": len(explored), "epsilon_trace": [epsilon], **state.stats,
-             "universe": len(universe)}
+             "universe": len(universe), "peel_bound": bound}
     return ApproxResult(frozenset(graph.connected_component(kept, queries[0])), epsilon,
                         beta, fallback, explored, stats)
 

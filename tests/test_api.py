@@ -119,5 +119,5 @@ def test_the_local_result_keeps_its_certificate_names(tri):
     assert als.beta_lower == als.beta and als.scores is None
     assert als.stats is als.stats  # a stored dict, not one rebuilt per read
     assert list(als.stats) == ["explored", "epsilon_trace", "pushes", "repushes",
-                               "residue", "estimate", "universe"]
+                               "residue", "estimate", "universe", "peel_bound"]
     assert als.stats["epsilon_trace"] == list(als.epsilon_trace) == [als.epsilon]

@@ -76,7 +76,11 @@ RESPONSE_SCHEMA = {
                                                        "minimum-degree estimate"},
                            "universe": {"type": "integer", "minimum": 1,
                                         "description": "size of the universe of the "
-                                                       "reduce peel giving the answer"}},
+                                                       "reduce peel giving the answer"},
+                           "peel_bound": {"type": "number", "minimum": 0,
+                                          "description": "largest round degree of that "
+                                                         "peel, connectivity ignored, "
+                                                         "rounded up"}},
             "additionalProperties": False,
         },
     },
@@ -84,7 +88,8 @@ RESPONSE_SCHEMA = {
     "if": {"properties": {"algorithm": {"const": "als"}}},
     "then": {"properties": {"stats": {"required": ["explored", "epsilon_trace",
                                                    "pushes", "repushes", "residue",
-                                                   "estimate", "universe"]}}},
+                                                   "estimate", "universe",
+                                                   "peel_bound"]}}},
 }
 
 
@@ -157,7 +162,7 @@ def test_query_als_json(capsys, tri_file):
     payload = json.loads(out)
     jsonschema.validate(payload, RESPONSE_SCHEMA)
     assert payload["community"] == ["a", "b", "q"]
-    assert payload["epsilon"] == pytest.approx(2.0)
+    assert payload["epsilon"] == pytest.approx(1.0)
     assert payload["fallback"] is False
     assert payload["explored_fraction"] == 1.0
 
@@ -175,7 +180,7 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
 @pytest.mark.parametrize("alg, keys", [
     ("egr", ["bound", "bound_set", "region"]),
     ("als", ["explored", "epsilon_trace", "pushes", "repushes", "residue", "estimate",
-             "universe"]),
+             "universe", "peel_bound"]),
     ("baseline", []),
     ("brute", []),
 ])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,12 +307,14 @@ def drained_state(graph, ctx):
 
 def test_reduce_tri_fallback(tri):
     """On drained bounds the lower-bound peel certifies a positive degree, so
-    no fallback is needed."""
+    no fallback is needed.  The bounds are the scores q 0, a 1/2, b 1/2 and
+    nothing is pending; the peel's rounds are a at 1/2, b at 0, q at 0, so its
+    largest round degree is beta_lower itself and epsilon is 1."""
     ctx = ctx_for(tri)
     expanded, state = drained_state(tri, ctx)
     res = reduce_stage(expanded, state, tri, ctx)
     assert labels(tri, res.members) == ["a", "b", "q"]
-    assert res.epsilon == pytest.approx(2.0, abs=1e-12)
+    assert res.epsilon == pytest.approx(1.0, abs=1e-12)
     assert res.beta_lower == pytest.approx(0.5, abs=1e-12)
     assert not res.fallback
 
@@ -342,14 +345,17 @@ def test_reduce_of_a_hand_built_state_reports_no_expansion(tri):
     state = PushState.fresh(tri, ctx.alpha)
     state.lower[:] = [0.25, 0.25, 0.5]
     res = reduce_stage(list(range(tri.n)), state, tri, ctx)
-    assert res.stats == {"explored": 3, "epsilon_trace": [res.epsilon], "universe": 3}
+    assert res.stats == {"explored": 3, "epsilon_trace": [res.epsilon], "universe": 3,
+                         "peel_bound": 0.5}
 
 
 def test_reduce_keeps_rounds_before_a_middle_split():
-    """Queries a and b meet only through x.  With these lower bounds (temp 7,
-    b's degree) the peel removes the leaf l at degree 1, then x at degree 2,
-    which splits the queries.  The answer is the set before x falls, with
-    beta_lower 2 (x's degree) and epsilon 7 / 2."""
+    """Queries a and b meet only through x.  With these lower bounds the peel
+    removes the leaf l at degree 1, then x at degree 2, which splits the
+    queries.  The answer is the set before x falls, with beta_lower 2 (x's
+    degree).  The peel goes on past the split, p1 at 4, p2 at 1, then a at 0:
+    its largest round, 4, is the least degree of a set holding both queries
+    though not joining them, so epsilon is 4 / 2."""
     g = TemporalGraph.from_triples([
         ("a", "x", 1), ("x", "b", 1), ("a", "l", 1),
         ("a", "p1", 1), ("a", "p2", 1), ("p1", "p2", 1),
@@ -361,7 +367,8 @@ def test_reduce_keeps_rounds_before_a_middle_split():
         state.lower[g.index[lab]] = w
     res = reduce_stage(list(range(g.n)), state, g, ctx)
     assert labels(g, res.members) == ["a", "b", "p1", "p2", "q1", "q2", "x"]
-    assert (res.epsilon, res.epsilon_trace, res.fallback) == (3.5, (3.5,), False)
+    assert (res.epsilon, res.epsilon_trace, res.fallback) == (2.0, (2.0,), False)
+    assert res.stats["peel_bound"] == 4.0
     assert res.beta_lower == 2.0  # x's degree: a + b
     assert not tests.oracle.joins(g, res.members - {g.index["x"]}, ctx.queries)
 
@@ -375,11 +382,19 @@ def test_reduce_query_outside_set(tri):
 
 
 def check_reduce(g, ctx):
-    """Expand and reduce; check the stage-two invariants and return (result, state)."""
+    """Expand and reduce; check the stage-two invariants and return (result, state).
+
+    The certificate, in exact arithmetic: epsilon * beta_lower covers the
+    peel's bound plus the pending residue (up to the drift of the cached
+    residue total), and that upper bound is never looser than the least
+    lower-bound degree of a query over the expanded set plus the residue.
+    For one query the peel's bound is beta_lower, so epsilon is 1 + P / beta_lower.
+    """
     expanded, state = expand(g, ctx)
     explored = set(expanded)
     temp = min(math.fsum(state.lower[v] for v in g.adj[q] if v in explored)
                for q in ctx.queries) + state.residue_total
+    pending = state.residue_total
     res = reduce_stage(expanded, state, g, ctx)
     members = res.members
     assert set(ctx.queries) <= members <= explored
@@ -389,7 +404,12 @@ def check_reduce(g, ctx):
     if res.fallback:
         assert res.epsilon == 1.0
     else:
-        assert res.epsilon * res.beta_lower >= temp
+        bound = res.stats["peel_bound"]
+        upper = Fraction(bound) + sum(map(Fraction, state.residue))
+        assert Fraction(res.epsilon) * Fraction(res.beta_lower) * (1 + Fraction(1, 10**12)) >= upper
+        assert bound + pending <= math.nextafter(temp, math.inf)
+        if len(ctx.queries) == 1:
+            assert res.epsilon == pytest.approx(1 + pending / res.beta_lower, rel=1e-15)
     assert all(proximity_degree(state.lower, g, members, u) >= res.beta_lower
                for u in members)
     return res, state
@@ -397,7 +417,7 @@ def check_reduce(g, ctx):
 
 def test_reduce_certifies_one_peel():
     """Single queries and query sets at alpha 0.2 and 0.5: epsilon * beta_lower
-    covers temp in floats, every member's degree on the bounds reaches
+    covers the peel's bound plus the residue, every member's degree on the bounds reaches
     beta_lower, and the answer is connected and holds every query."""
     rng = random.Random(1616)
     cases = [(g, QueryContext.single(rng.randrange(g.n)))
@@ -414,7 +434,9 @@ def test_reduce_certifies_one_peel():
 def test_reduce_peels_the_whole_set_when_the_mass_does_not_join_the_queries():
     """Path a-x-w-y-c, queries (a, c): no walk reaches w in time, so the
     vertices holding mass split the queries, and the peel takes the whole
-    expanded set, w included."""
+    expanded set, w included.  Nothing is pending; the bounds are a 0.2, x 0.3,
+    w 0, y 0.3, c 0.2, and the peel's rounds are x at 0.2, which splits the
+    queries, then a at 0, so its bound is beta_lower and epsilon is 1."""
     g = TemporalGraph.from_triples([("a", "x", 2), ("x", "w", 1), ("w", "y", 1),
                                     ("y", "c", 2), ("a", "x", 3), ("c", "y", 3)])
     ctx = QueryContext((g.index["a"], g.index["c"]))
@@ -423,19 +445,20 @@ def test_reduce_peels_the_whole_set_when_the_mass_does_not_join_the_queries():
     assert labels(g, res.members) == ["a", "c", "w", "x", "y"]
     assert not res.fallback
     assert res.beta_lower == pytest.approx(0.2, abs=1e-15)
-    assert res.epsilon == pytest.approx(1.5, abs=1e-15)
+    assert res.epsilon == pytest.approx(1.0, abs=1e-15)
 
 
 # Graphs at alpha 0.5 whose lower degrees are sums of simple fractions: the
-# query's bound temp is 1 in real arithmetic, and the kept set's minimum
-# degree (2/5, 1/3) is exactly temp / epsilon, so a threshold test decided in
-# floats keeps or drops those vertices by rounding.
+# kept set's minimum degree (2/5, 1/3) is also its largest round, and with the
+# pending residue (1/5, 1/6) it gives epsilon 3/2 in real arithmetic; since the
+# degree is a sum of rounded fractions, a threshold test decided in floats
+# keeps or drops those vertices by rounding.
 THRESHOLD_TIES = [
-    ("v0", 2.5, [("v2", "v5", 2), ("v1", "v7", 1), ("v2", "v0", 2), ("v5", "v0", 1),
+    ("v0", 1.5, [("v2", "v5", 2), ("v1", "v7", 1), ("v2", "v0", 2), ("v5", "v0", 1),
                  ("v3", "v2", 2), ("v5", "v0", 1), ("v7", "v3", 1), ("v0", "v5", 2),
                  ("v1", "v5", 1), ("v6", "v4", 1), ("v3", "v5", 2), ("v0", "v3", 1),
                  ("v7", "v1", 1), ("v2", "v4", 2), ("v4", "v0", 1), ("v5", "v7", 2)]),
-    ("v4", 3.0, [("v2", "v0", 1), ("v3", "v7", 2), ("v2", "v7", 2), ("v2", "v5", 2),
+    ("v4", 1.5, [("v2", "v0", 1), ("v3", "v7", 2), ("v2", "v7", 2), ("v2", "v5", 2),
                  ("v5", "v1", 2), ("v2", "v1", 2), ("v1", "v0", 2), ("v2", "v0", 1),
                  ("v1", "v3", 1), ("v7", "v4", 1), ("v3", "v1", 2), ("v4", "v2", 2),
                  ("v4", "v7", 1), ("v4", "v7", 1), ("v4", "v3", 2), ("v5", "v0", 1),
@@ -465,7 +488,7 @@ def test_reduce_peel_is_exact_at_a_threshold_tie(q, epsilon, triples):
 def test_local_search_tri(tri):
     res = local_search(tri, ctx_for(tri))
     assert labels(tri, res.members) == ["a", "b", "q"]
-    assert res.epsilon == pytest.approx(2.0, abs=1e-12)
+    assert res.epsilon == pytest.approx(1.0, abs=1e-12)
     exact = exact_community(tri, ctx_for(tri))
     assert exact.beta / res.beta_lower == pytest.approx(1.0, abs=1e-9)
 
@@ -577,6 +600,38 @@ def test_peel_returns_none_when_the_universe_splits_the_queries(two_paths, labs)
     assert (_peel(g, values, queries, range(g.n)) is None) == (labs in SPLIT_SETS)
 
 
+def test_peel_bound_is_the_largest_min_degree_of_a_query_superset():
+    """On random graphs of at most 10 vertices, tie-heavy horizons and random
+    values (a third of them 0), the peel's third value is the largest least
+    degree over the subsets of the universe holding the queries, connectivity
+    ignored and taken in exact arithmetic, rounded up to a float."""
+    rng = random.Random(2626)
+    checked = 0
+    while checked < 150:
+        g = random_temporal_graph(rng, n_max=10, m_max=25, t_max=1 + checked % 2)
+        q = rng.randrange(g.n)
+        comp = sorted(g.connected_component(range(g.n), q))
+        size = 1 if checked % 3 == 0 else 1 + rng.randint(1, 2)
+        if len(comp) < size:
+            continue
+        queries = (q, *rng.sample([v for v in comp if v != q], size - 1))
+        values = [rng.choice((0.0, 0.1, 1 / 3, 0.5, rng.random())) for _ in range(g.n)]
+        universe = sorted(set(queries).union(v for v in range(g.n) if rng.random() < 0.8))
+        peeled = _peel(g, values, queries, universe)
+        if peeled is None:
+            continue
+        others = [v for v in universe if v not in queries]
+        best = Fraction(0)
+        for mask in range(1 << len(others)):
+            space = set(queries).union(v for i, v in enumerate(others) if mask >> i & 1)
+            best = max(best, min(sum(Fraction(values[v]) for v in g.adj[u] if v in space)
+                                 for u in space))
+        bound = peeled[2]
+        assert best <= Fraction(bound) < best + Fraction(math.ulp(bound))
+        assert Fraction(math.nextafter(bound, -math.inf)) < best
+        checked += 1
+
+
 def test_multi_guarantee():
     rng = random.Random(300)
     checked = 0
@@ -587,7 +642,7 @@ def test_multi_guarantee():
         others = [v for v in comp if v != q]
         if not others:
             continue
-        ctx = QueryContext((q, rng.choice(others)))
+        ctx = QueryContext((q, *rng.sample(others, min(len(others), 1 + checked % 2))))
         approx = local_search(g, ctx)
         exact = exact_community(g, ctx)
         assert set(ctx.queries) <= approx.members
