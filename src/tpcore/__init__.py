@@ -9,12 +9,12 @@ import importlib
 # the module that defines each public name
 _HOME = {name: module for module, names in {
     "community": "CommunityResult brute_force_search exact_community exact_community_multi "
-                 "kcore_baseline min_proximity_degree proximity_degree",
-    "errors": "CommunitySearchError EmptyGraph MalformedLine NoCore NotConverged "
+                 "min_proximity_degree proximity_degree",
+    "errors": "CommunitySearchError EmptyGraph MalformedLine NotConverged "
               "QueriesDisconnected QueryNotInSet TooLarge UnknownLabel",
     "graph": "TemporalGraph load_edge_stream parse_edge_stream",
     "local": "ApproxResult expand local_search local_search_multi reduce_stage",
-    "metrics": "MetricReport community_report temporal_conductance temporal_density",
+    "metrics": "MetricReport community_report",
     "pagerank": "PushState QueryContext ScoreVector drain power_iteration_pagerank propagate "
                 "temporal_pagerank temporal_pagerank_multi",
     "synth": "SynthConfig synth_graph synth_triples",

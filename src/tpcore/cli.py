@@ -1,9 +1,8 @@
 """Command-line front end: query, bench, gen, stats.
 
 Exit codes: 0 success, 2 malformed input or invalid parameters, 3 unknown
-query label, 4 algorithm-level errors (NoCore, QueriesDisconnected,
-TooLarge, ...).  JSON responses keep a stable key set; text mode reports the
-same numbers.
+query label, 4 algorithm-level errors (QueriesDisconnected, TooLarge, ...).
+JSON responses keep a stable key set; text mode reports the same numbers.
 
 A graph file's built graph is cached on disk in ``$XDG_CACHE_HOME/tpcore``
 (``~/.cache/tpcore`` when unset), keyed by the SHA-256 of the file's bytes and
@@ -29,14 +28,14 @@ import os
 import sys
 import time
 
-from .community import brute_force_search, exact_community, kcore_baseline
+from .community import brute_force_search, exact_community
 from .errors import (CommunitySearchError, EmptyGraph, MalformedLine, UnknownLabel)
 from .graph import (PACK_LAYOUT, TemporalGraph, _collector_paused, format_edge_stream,
                     read_edge_stream)
 from .metrics import community_report
 from .pagerank import DEFAULT_ALPHA, QueryContext, temporal_pagerank
 
-ALGORITHMS = ("egr", "als", "baseline", "brute")
+ALGORITHMS = ("egr", "als", "brute")
 
 BENCH_HEADER = ["query", "occurrence", "egr_s", "egr_beta", "egr_size",
                 "als_s", "als_beta_lower", "als_epsilon", "als_true_ratio",
@@ -118,13 +117,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         return _fail(2, "InvalidParameter", f"alpha must be in (0, 1), got {args.alpha}",
                      args.json)
-    if args.alg == "baseline" and args.k is None:
-        return _fail(2, "InvalidParameter", "--alg baseline requires --k", args.json)
-    if args.alg == "baseline" and args.k < 0:
-        return _fail(2, "InvalidParameter", "--k must be non-negative", args.json)
-    if args.alg == "baseline" and len(set(args.queries)) != 1:
-        return _fail(2, "InvalidParameter", "baseline supports a single query vertex",
-                     args.json)
 
     t0 = time.perf_counter()
     if isinstance(loaded := _load(args.graph, args.json), int):
@@ -140,8 +132,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.alg == "als":
         from .local import local_search as solve
     else:
-        solve = {"egr": exact_community, "brute": brute_force_search,
-                 "baseline": lambda g, c: kcore_baseline(g, c, args.k)}[args.alg]
+        solve = {"egr": exact_community, "brute": brute_force_search}[args.alg]
     try:
         result = solve(graph, ctx)
     except CommunitySearchError as exc:
@@ -160,8 +151,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         response["epsilon"] = result.epsilon
         response["fallback"] = result.fallback
         response["explored_fraction"] = len(result.explored) / graph.n
-    elif args.alg == "baseline":
-        response["k"] = args.k
 
     t1 = time.perf_counter()
     # md reports the true minimum degree, so als also pays a full score pass
@@ -321,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="query vertex label (repeatable)")
     p_query.add_argument("--alg", choices=ALGORITHMS, default="egr")
     p_query.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p_query.add_argument("--k", type=int, default=None, help="core order (baseline)")
     p_query.add_argument("--json", action="store_true", help="JSON on stdout")
     p_query.set_defaults(func=cmd_query)
 

@@ -1,4 +1,4 @@
-"""Exact community search by greedy peeling, plus baselines and a test oracle.
+"""Exact community search by greedy peeling, plus a brute-force test oracle.
 
 The target community is the maximal connected vertex set containing the query
 whose minimum proximity-weighted degree (sum of neighbors' proximity scores
@@ -15,7 +15,7 @@ import math
 import time
 from typing import Iterable, Sequence
 
-from .errors import NoCore, QueriesDisconnected, TooLarge
+from .errors import QueriesDisconnected, TooLarge
 from .graph import TemporalGraph
 from .pagerank import QueryContext, ScoreVector, temporal_pagerank
 
@@ -209,71 +209,4 @@ def brute_force_search(graph: TemporalGraph, ctx: QueryContext) -> CommunityResu
     members = frozenset(u for u in range(n) if union >> u & 1)
     t2 = time.perf_counter()
     return CommunityResult(members, best, "brute",
-                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
-
-
-def kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> CommunityResult:
-    """Two-criteria baseline: connected k-core containing q, maximizing min score.
-
-    One cascade with a maintained degree per vertex (Batagelj & Zaversnik
-    2003) cuts the maximal k-core, then peels q's component of it in
-    (score, is_query, id) order, cascading the degree constraint and logging
-    the removals.  The answer is q's component at the first round whose taken
-    score is the best, read once at the end: a removal elsewhere never touches
-    that component, and the taken scores never decrease.  The reported beta is
-    that min score, not a proximity degree.  Heuristic peeling: the model
-    separates structure from proximity, and no exact algorithm is claimed.
-    """
-    if len(ctx.queries) != 1:
-        raise ValueError("kcore_baseline takes exactly one query vertex")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    q = ctx.queries[0]
-    t0 = time.perf_counter()
-    scores = temporal_pagerank(graph, ctx)
-    t1 = time.perf_counter()
-    values = scores.per_vertex
-    adj = graph.adj
-    deg = [len(nbrs) for nbrs in adj]
-    alive = [True] * graph.n
-    removed: list[int] = []
-
-    def remove(u: int) -> None:
-        """Remove u and every vertex whose degree then falls below k; log them all."""
-        alive[u] = False
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            removed.append(x)
-            for v in adj[x]:
-                if alive[v]:
-                    deg[v] -= 1
-                    if deg[v] < k:
-                        alive[v] = False
-                        stack.append(v)
-
-    for u in range(graph.n):
-        if alive[u] and deg[u] < k:
-            remove(u)
-    if not alive[q]:
-        raise NoCore(f"query vertex {graph.labels[q]!r} is not in any connected {k}-core")
-
-    start = graph.connected_component([u for u in range(graph.n) if alive[u]], q)
-    removed.clear()
-    best_val = -1.0
-    best_round = 0
-    for u in sorted(start, key=lambda u: (values[u], u == q, u)):
-        if not alive[u]:
-            continue
-        if values[u] > best_val:
-            best_val = values[u]
-            best_round = len(removed)
-        if u == q:
-            break
-        remove(u)
-        if not alive[q]:
-            break
-    members = graph.connected_component(start.difference(removed[:best_round]), q)
-    t2 = time.perf_counter()
-    return CommunityResult(frozenset(members), best_val, "baseline",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores)

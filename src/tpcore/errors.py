@@ -32,10 +32,6 @@ class NotConverged(CommunitySearchError):
         self.delta = delta
 
 
-class NoCore(CommunitySearchError):
-    """The query vertex is not contained in any connected k-core."""
-
-
 class QueriesDisconnected(CommunitySearchError):
     """No connected component contains every query vertex."""
 

@@ -36,34 +36,17 @@ def _incidence(graph: TemporalGraph, members: set[int]) -> _Incidence:
 
 
 def _density(size: int, inc: _Incidence) -> float:
+    """2 |internal edges| / (|S| (|S|-1) |distinct internal times|), in [0, 1]."""
     if size <= 1 or inc.internal == 0:
         return 0.0
     return 2.0 * inc.internal / (size * (size - 1) * len(inc.times))
 
 
 def _conductance(graph: TemporalGraph, inc: _Incidence) -> float:
+    """Cut size over the smaller temporal volume (edge incidences), in [0, 1]."""
     if inc.cut == 0:
         return 0.0
     return inc.cut / min(inc.volume, 2 * graph.m - inc.volume)
-
-
-def temporal_density(graph: TemporalGraph, subset: Iterable[int]) -> float:
-    """Average internal density per distinct internal timestamp, in [0, 1].
-
-    2 * |internal temporal edges| / (|S| * (|S|-1) * |distinct internal times|);
-    0 when |S| <= 1 or there are no internal edges.
-    """
-    members = set(subset)
-    return _density(len(members), _incidence(graph, members))
-
-
-def temporal_conductance(graph: TemporalGraph, subset: Iterable[int]) -> float:
-    """Temporal cut size over the smaller temporal volume, in [0, 1].
-
-    Volumes count temporal-edge incidences, so a nonzero cut guarantees both
-    volumes are nonzero; an empty cut scores 0.
-    """
-    return _conductance(graph, _incidence(graph, set(subset)))
 
 
 class MetricReport(NamedTuple):

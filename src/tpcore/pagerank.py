@@ -16,14 +16,13 @@ oracle over the transition matrix stays independent for testing.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import compress, repeat
 from operator import add
 from typing import Callable, Iterable
 
-from .errors import NotConverged
+from .errors import NotConverged, QueryNotInSet
 from .graph import TemporalGraph
 
 DEFAULT_ALPHA = 0.2
@@ -58,19 +57,13 @@ class ScoreVector:
     asked for.
     """
 
-    def __init__(self, per_vertex: list[float], ctx: QueryContext):
-        self.per_vertex, self.ctx = per_vertex, ctx
+    def __init__(self, per_vertex: list[float]):
+        self.per_vertex = per_vertex
 
     @property
     def values(self):
         import numpy as np
         return np.array(self.per_vertex)
-
-    def __getitem__(self, u: int) -> float:
-        return self.per_vertex[u]
-
-    def total(self) -> float:
-        return math.fsum(self.per_vertex)
 
 
 class PushState:
@@ -96,10 +89,15 @@ class PushState:
 
 
 def seed_state(graph: TemporalGraph, ctx: QueryContext) -> PushState:
-    """A push state holding the walk's start: 1/(|S| deg q) on each out-state of every query q."""
+    """A push state holding the walk's start: 1/(|S| deg q) on each out-state of every query q.
+
+    Raises QueryNotInSet for a query id outside 0..n-1, the ids of ``graph``.
+    """
     queries = ctx.queries
     state = PushState.fresh(graph, ctx.alpha)
     for q in queries:
+        if not 0 <= q < graph.n:
+            raise QueryNotInSet(f"query vertex id {q} is outside 0..{graph.n - 1}")
         out = graph.inc_states[q]
         share = 1.0 / (len(queries) * len(out))
         for sid in out:
@@ -185,7 +183,7 @@ def temporal_pagerank(graph: TemporalGraph, ctx: QueryContext) -> ScoreVector:
     """
     state = seed_state(graph, ctx)
     drain(state, graph)
-    return ScoreVector(state.lower, ctx)
+    return ScoreVector(state.lower)
 
 
 # the same function under the name perfbench/run.py calls
@@ -236,4 +234,4 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     values = np.zeros(graph.n)
     for s, (tail, _) in enumerate(arrivals):
         values[tail] += x[s]
-    return ScoreVector(values.tolist(), ctx)
+    return ScoreVector(values.tolist())

@@ -13,10 +13,9 @@ back.  The ordered-edge helpers spell out the walk's transition model one
 state at a time, and ``stop_dict_pagerank`` scores a query set by a dynamic
 program over the stream that shares only ``graph.denominator`` with the
 library's push, which memoizes its values per state.
-``reference_kcore_baseline`` is the k-core baseline that re-derives the
-query's component after every removal, and ``reference_exact_community`` the
-exact search that peels the whole graph, and ``reference_expand`` the
-expansion that pushes each vertex's out-states only when it pops.
+``reference_exact_community`` is the exact search that peels the whole
+graph, and ``reference_expand`` the expansion that pushes each vertex's
+out-states only when it pops.
 ``degree_bounds`` brackets a vertex's proximity degree by a push state's
 bounds, for the sandwich checks.  ``reference_drain`` is the drain as one
 ``compress`` over every state id, without blocks.
@@ -32,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from tpcore import (CommunityResult, NoCore, PushState, QueriesDisconnected, QueryContext,
+from tpcore import (CommunityResult, PushState, QueriesDisconnected, QueryContext,
                     TemporalGraph, min_proximity_degree, temporal_pagerank)
 from tpcore.local import BOUND_SLACK
 from tpcore.pagerank import propagate, seed_state
@@ -218,83 +217,6 @@ def reference_metrics(g: TemporalGraph, subset) -> tuple[float, float, int]:
         vol_s = int(side_u.sum()) + int(side_v.sum())
         tc = cut / min(vol_s, 2 * g.m - vol_s)
     return td, tc, distinct_times
-
-
-# ---- the k-core baseline as first written, as a reference ---------------------
-# It restricts to the query's component after every removal; the library's
-# version reads that component once.  The body is unchanged, except that
-# `time` is imported as `_time` here (this module's `time` reads a timestamp).
-
-def reference_kcore_baseline(graph: TemporalGraph, ctx: QueryContext, k: int) -> CommunityResult:
-    """Two-criteria baseline: connected k-core containing q, maximizing min score.
-
-    Computes the maximal connected k-core around the query, then repeatedly
-    drops the member of minimum proximity score (cascading the degree
-    constraint and restricting back to the query's component) and keeps the
-    best feasible snapshot seen.  The reported beta is that min score, not a
-    proximity degree.  Heuristic peeling: the model separates structure from
-    proximity, and no exact algorithm is claimed for it.
-    """
-    if len(ctx.queries) != 1:
-        raise ValueError("kcore_baseline takes exactly one query vertex")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    q = ctx.queries[0]
-    t0 = _time.perf_counter()
-    scores = temporal_pagerank(graph, ctx)
-    t1 = _time.perf_counter()
-    values = scores.values
-
-    core = set(range(graph.n))
-    if k > 0:
-        deg = {u: len(graph.adj[u]) for u in core}
-        queue = [u for u in core if deg[u] < k]
-        while queue:
-            u = queue.pop()
-            if u not in core:
-                continue
-            core.discard(u)
-            for v in graph.adj[u]:
-                if v in core:
-                    deg[v] -= 1
-                    if deg[v] < k:
-                        queue.append(v)
-    if q not in core:
-        raise NoCore(f"query vertex {graph.labels[q]!r} is not in any connected {k}-core")
-
-    current = graph.connected_component(core, q)
-    order = sorted(current, key=lambda u: (float(values[u]), u == q, u))
-    ptr = 0
-    best_set: frozenset[int] = frozenset(current)
-    best_val = -1.0
-    while True:
-        val = min(float(values[u]) for u in current)
-        if val > best_val:
-            best_val = val
-            best_set = frozenset(current)
-        while order[ptr] not in current:
-            ptr += 1
-        u = order[ptr]
-        if u == q:
-            break
-        current.discard(u)
-        if k > 0:
-            queue = [v for v in graph.adj[u] if v in current
-                     and sum(1 for w in graph.adj[v] if w in current) < k]
-            while queue:
-                v = queue.pop()
-                if v not in current:
-                    continue
-                current.discard(v)
-                for w in graph.adj[v]:
-                    if w in current and sum(1 for x in graph.adj[w] if x in current) < k:
-                        queue.append(w)
-        if q not in current:
-            break
-        current = graph.connected_component(current, q)
-    t2 = _time.perf_counter()
-    return CommunityResult(best_set, best_val, "baseline",
-                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores)
 
 
 # ---- the whole-graph exact peel as first written, as a reference --------------

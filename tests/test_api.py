@@ -1,4 +1,5 @@
 """The package's public names and its small record types."""
+import ast
 import os
 import subprocess
 import sys
@@ -12,17 +13,16 @@ from tpcore.graph import LoadReport
 
 PUBLIC = [
     "ApproxResult", "CommunityResult", "CommunitySearchError", "EmptyGraph",
-    "MalformedLine", "MetricReport", "NoCore", "NotConverged",
+    "MalformedLine", "MetricReport", "NotConverged",
     "PushState", "QueriesDisconnected", "QueryContext",
     "QueryNotInSet", "ScoreVector", "SynthConfig", "TemporalGraph",
     "TooLarge", "UnknownLabel", "brute_force_search",
     "community_report", "drain", "exact_community",
-    "exact_community_multi", "expand", "kcore_baseline",
+    "exact_community_multi", "expand",
     "load_edge_stream", "local_search", "local_search_multi",
     "min_proximity_degree", "parse_edge_stream", "power_iteration_pagerank",
     "propagate", "proximity_degree", "reduce_stage", "synth_graph",
-    "synth_triples", "temporal_conductance", "temporal_density",
-    "temporal_pagerank", "temporal_pagerank_multi",
+    "synth_triples", "temporal_pagerank", "temporal_pagerank_multi",
 ]
 
 
@@ -103,8 +103,8 @@ def test_load_report_compares_by_value():
 
 
 @pytest.mark.parametrize("solve", [
-    tpcore.exact_community, tpcore.local_search, tpcore.brute_force_search,
-    lambda g, ctx: tpcore.kcore_baseline(g, ctx, 1)], ids=["egr", "als", "brute", "baseline"])
+    tpcore.exact_community, tpcore.local_search, tpcore.brute_force_search],
+    ids=["egr", "als", "brute"])
 def test_every_solver_returns_the_one_result_record(tri, solve):
     res = solve(tri, QueryContext.single(tri.index["q"]))
     assert isinstance(res, tpcore.CommunityResult)
@@ -121,3 +121,20 @@ def test_the_local_result_keeps_its_certificate_names(tri):
     assert list(als.stats) == ["explored", "epsilon_trace", "pushes", "repushes",
                                "residue", "estimate", "universe", "peel_bound"]
     assert als.stats["epsilon_trace"] == list(als.epsilon_trace) == [als.epsilon]
+
+
+def test_every_import_of_the_package_is_used():
+    """Each name a module of the package imports is read somewhere in that module."""
+    unused = []
+    for path in sorted(Path(tpcore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unused == []

@@ -25,7 +25,7 @@ RESPONSE_SCHEMA = {
     "required": ["algorithm", "query", "alpha", "community", "beta",
                  "metrics", "timings", "graph", "cache", "stats"],
     "properties": {
-        "algorithm": {"enum": ["egr", "als", "baseline", "brute"]},
+        "algorithm": {"enum": ["egr", "als", "brute"]},
         "query": {"type": "array", "items": {"type": "string"}},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "community": {"type": "array", "items": {"type": "string"}},
@@ -33,7 +33,6 @@ RESPONSE_SCHEMA = {
         "epsilon": {"type": "number", "minimum": 1},
         "fallback": {"type": "boolean"},
         "explored_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "k": {"type": "integer", "minimum": 0},
         "metrics": {
             "type": "object",
             "required": ["td", "tc", "md", "size", "internal_times"],
@@ -167,10 +166,10 @@ def test_query_als_json(capsys, tri_file):
     assert payload["explored_fraction"] == 1.0
 
 
-@pytest.mark.parametrize("alg", ["egr", "als", "baseline", "brute"])
+@pytest.mark.parametrize("alg", ["egr", "als", "brute"])
 def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
     code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
-                                "--alg", alg, "--k", "1", "--json"])
+                                "--alg", alg, "--json"])
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, RESPONSE_SCHEMA)
@@ -181,16 +180,15 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
     ("egr", ["bound", "bound_set", "region"]),
     ("als", ["explored", "epsilon_trace", "pushes", "repushes", "residue", "estimate",
              "universe", "peel_bound"]),
-    ("baseline", []),
     ("brute", []),
 ])
 def test_query_json_stats_follow_the_existing_keys(capsys, tri_file, alg, keys):
     code, out, _ = run(capsys, ["query", "--graph", tri_file, "--q", "q",
-                                "--alg", alg, "--k", "1", "--json"])
+                                "--alg", alg, "--json"])
     assert code == 0
     payload = json.loads(out)
     jsonschema.validate(payload, RESPONSE_SCHEMA)
-    extra = {"als": ["epsilon", "fallback", "explored_fraction"], "baseline": ["k"]}
+    extra = {"als": ["epsilon", "fallback", "explored_fraction"]}
     assert list(payload) == (["algorithm", "query", "alpha", "graph", "cache", "beta"]
                              + extra.get(alg, [])
                              + ["community", "metrics", "timings", "stats"])
@@ -219,31 +217,17 @@ def test_query_multi(capsys, tri_file):
     assert json.loads(out)["community"] == ["a", "b", "q"]
 
 
-def test_query_baseline_nocore_exit4(capsys, tri_file):
-    code, out, err = run(capsys, ["query", "--graph", tri_file, "--q", "q",
-                                  "--alg", "baseline", "--k", "3", "--json"])
-    assert code == 4
-    assert "NoCore" in err
-    assert json.loads(out)["error"] == "NoCore"
-
-
-def test_query_baseline_takes_a_repeated_query_once(capsys, tri_file):
-    args = ["query", "--graph", tri_file, "--alg", "baseline", "--k", "1", "--json"]
-    code, once, _ = run(capsys, args + ["--q", "q"])
-    assert code == 0
-    code, twice, _ = run(capsys, args + ["--q", "q", "--q", "q"])
-    assert code == 0
-    assert json.loads(twice)["community"] == json.loads(once)["community"]
-    code, _, err = run(capsys, args + ["--q", "q", "--q", "a"])
-    assert code == 2
-    assert "single query vertex" in err
-
-
-def test_query_baseline_requires_k(capsys, tri_file):
-    code, _, err = run(capsys, ["query", "--graph", tri_file, "--q", "q",
-                                "--alg", "baseline"])
-    assert code == 2
-    assert "requires --k" in err
+@pytest.mark.parametrize("extra, message", [
+    (["--alg", "baseline"], "invalid choice: 'baseline'"),
+    (["--k", "1"], "unrecognized arguments: --k 1"),
+], ids=["alg-baseline", "k"])
+def test_query_refuses_the_removed_baseline_options(capsys, tri_file, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", "--graph", tri_file, "--q", "q", *extra])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: tpcore") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("alg", ["egr", "als", "brute"])
@@ -365,13 +349,13 @@ def test_query_starts_no_collection(capsys, tmp_path, monkeypatch, tri_file, alg
     assert starts == []
 
 
-@pytest.mark.parametrize("alg", ["egr", "als", "baseline", "brute"])
+@pytest.mark.parametrize("alg", ["egr", "als", "brute"])
 def test_query_restores_the_built_graph_on_the_next_run(capsys, tmp_path, monkeypatch, alg):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = tmp_path / "g.txt"
     path.write_text(TRI_TEXT + "a q 1\nb b 4\n")  # a duplicate and a self-loop
-    first = cached_query(capsys, path, "--alg", alg, "--k", "1")
-    second = cached_query(capsys, path, "--alg", alg, "--k", "1")
+    first = cached_query(capsys, path, "--alg", alg)
+    second = cached_query(capsys, path, "--alg", alg)
     assert (first[1]["cache"], second[1]["cache"]) == ("miss", "hit")
     assert answer(first[1]) == answer(second[1])
     assert first[2] == second[2] and "dropped 1 duplicate and 1 self-loop" in second[2]

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tpcore.community as community
-from tpcore import (CommunitySearchError, NoCore, QueriesDisconnected, QueryContext,
+from tpcore import (CommunitySearchError, QueriesDisconnected, QueryContext,
                     SynthConfig, TemporalGraph, TooLarge, brute_force_search,
-                    exact_community, exact_community_multi, kcore_baseline,
+                    exact_community, exact_community_multi,
                     min_proximity_degree, proximity_degree, synth_graph,
                     synth_triples, temporal_pagerank)
 from tests import oracle
@@ -331,84 +331,3 @@ def test_exact_stats_bound_and_region(tri):
     degree 0, so the bound never stops it and the final peel takes all three."""
     res = exact_community(tri, ctx_for(tri))
     assert res.stats == {"bound": 0.0, "bound_set": 2, "region": 3}
-
-
-# ---- two-criteria baseline ----------------------------------------------------------
-
-def test_baseline_tri_k2(tri):
-    res = kcore_baseline(tri, ctx_for(tri), 2)
-    assert labels(tri, res.members) == ["a", "b", "q"]
-    assert res.beta == 0.0  # the query's own score caps the objective
-
-
-def test_baseline_no_core(tri):
-    with pytest.raises(NoCore):
-        kcore_baseline(tri, ctx_for(tri), 3)
-
-
-def test_baseline_k0_whole_component(chain3):
-    res = kcore_baseline(chain3, ctx_for(chain3), 0)
-    assert labels(chain3, res.members) == ["a", "b", "q"]
-
-
-def test_baseline_feasibility():
-    rng = random.Random(31)
-    for _ in range(20):
-        g = random_temporal_graph(rng)
-        q = rng.randrange(g.n)
-        for k in (0, 1, 2):
-            try:
-                res = kcore_baseline(g, QueryContext.single(q), k)
-            except NoCore:
-                continue
-            assert q in res.members
-            assert g.connected_component(res.members, q) == set(res.members)
-            for u in res.members:
-                inside = sum(1 for v in g.adj[u] if v in res.members)
-                assert inside >= k
-
-
-def baseline_or_nocore(solver, g, ctx, k):
-    try:
-        return solver(g, ctx, k)
-    except NoCore:
-        return None
-
-
-def test_baseline_matches_reference_sweep():
-    rng = random.Random(59)
-    sizes = [(12, 40, 20), (20, 80, 20), (60, 250, 30)]
-    outcomes = {"answer": 0, "nocore": 0}
-    for i in range(2000):
-        n_max, m_max, t_max = sizes[i % 3]
-        g = random_temporal_graph(rng, n_max=n_max, m_max=m_max, t_max=t_max)
-        ctx = QueryContext.single(rng.randrange(g.n), rng.choice((0.2, 0.5)))
-        k = rng.randint(0, 4)
-        res = baseline_or_nocore(kcore_baseline, g, ctx, k)
-        ref = baseline_or_nocore(oracle.reference_kcore_baseline, g, ctx, k)
-        assert (res is None) == (ref is None)
-        if res is not None:
-            assert res.members == ref.members
-            assert res.beta == ref.beta
-            outcomes["answer"] += 1
-        else:
-            outcomes["nocore"] += 1
-    assert min(outcomes.values()) > 200  # both branches are exercised
-
-
-def test_baseline_reads_the_query_component_at_most_twice():
-    g = synth_graph(SynthConfig(1500, 6.0, 2, 40, 3))
-    calls = []
-
-    def counted(subset, q):
-        calls.append(q)
-        return TemporalGraph.connected_component(g, subset, q)
-
-    order = sorted(range(g.n), key=lambda u: (len(g.adj[u]), u))
-    ctx = QueryContext.single(order[g.n // 2])
-    g.connected_component = counted
-    res = kcore_baseline(g, ctx, 2)
-    assert len(calls) <= 2
-    del g.connected_component
-    assert res.members == oracle.reference_kcore_baseline(g, ctx, 2).members
-

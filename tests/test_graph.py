@@ -102,7 +102,7 @@ def test_unsorted_input_is_sorted():
     ctx = QueryContext.single(g.index["c"])
     for score in (temporal_pagerank, power_iteration_pagerank):
         got = score(g, ctx)
-        assert {lab: got[g.index[lab]] for lab in "abc"} == pytest.approx(
+        assert {lab: got.per_vertex[g.index[lab]] for lab in "abc"} == pytest.approx(
             {"a": 0.8, "b": 0.2, "c": 0.0}, abs=1e-10)
 
 

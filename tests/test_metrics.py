@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tpcore import (QueryContext, community_report, exact_community,
-                    min_proximity_degree, temporal_conductance, temporal_density,
-                    temporal_pagerank)
+                    min_proximity_degree, temporal_pagerank)
 from tests import oracle
 from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
 
@@ -15,34 +14,44 @@ def ids(graph, *labs):
     return {graph.index[x] for x in labs}
 
 
+def density(graph, subset):
+    """The report's temporal density; the scores play no part in it."""
+    return community_report(graph, [0.0] * graph.n, subset).td
+
+
+def conductance(graph, subset):
+    """The report's temporal conductance; the scores play no part in it."""
+    return community_report(graph, [0.0] * graph.n, subset).tc
+
+
 # ---- temporal density ---------------------------------------------------------
 
 def test_density_chain3_pair(chain3):
-    assert temporal_density(chain3, ids(chain3, "q", "a")) == pytest.approx(1.0)
+    assert density(chain3, ids(chain3, "q", "a")) == pytest.approx(1.0)
 
 
 def test_density_tri_full(tri):
-    assert temporal_density(tri, ids(tri, "q", "a", "b")) == pytest.approx(0.5)
+    assert density(tri, ids(tri, "q", "a", "b")) == pytest.approx(0.5)
 
 
 def test_density_degenerate(tri, chain3):
-    assert temporal_density(tri, ids(tri, "q")) == 0.0
-    assert temporal_density(chain3, ids(chain3, "q", "b")) == 0.0  # no internal edges
+    assert density(tri, ids(tri, "q")) == 0.0
+    assert density(chain3, ids(chain3, "q", "b")) == 0.0  # no internal edges
 
 
 # ---- temporal conductance --------------------------------------------------------
 
 def test_conductance_whole_graph_is_zero(tri, chain3):
-    assert temporal_conductance(tri, set(range(tri.n))) == 0.0
-    assert temporal_conductance(chain3, set(range(chain3.n))) == 0.0
+    assert conductance(tri, set(range(tri.n))) == 0.0
+    assert conductance(chain3, set(range(chain3.n))) == 0.0
 
 
 def test_conductance_chain3_pair(chain3):
-    assert temporal_conductance(chain3, ids(chain3, "q", "a")) == pytest.approx(1.0)
+    assert conductance(chain3, ids(chain3, "q", "a")) == pytest.approx(1.0)
 
 
 def test_conductance_tri_singleton(tri):
-    assert temporal_conductance(tri, ids(tri, "q")) == pytest.approx(1.0)
+    assert conductance(tri, ids(tri, "q")) == pytest.approx(1.0)
 
 
 @given(graph_strategy(), st.data())
@@ -53,16 +62,16 @@ def test_conductance_cut_symmetry_and_range(g, data):
     if not subset:
         return
     rest = set(range(g.n)) - subset
-    tc = temporal_conductance(g, subset)
+    tc = conductance(g, subset)
     assert 0.0 <= tc <= 1.0
     if rest:
-        assert tc == pytest.approx(temporal_conductance(g, rest), abs=1e-12)
+        assert tc == pytest.approx(conductance(g, rest), abs=1e-12)
 
 
 @given(graph_strategy(), st.data())
 def test_density_range(g, data):
     subset = set(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True)))
-    assert 0.0 <= temporal_density(g, subset) <= 1.0
+    assert 0.0 <= density(g, subset) <= 1.0
 
 
 # ---- minimum proximity degree -------------------------------------------------------
@@ -101,7 +110,5 @@ def test_metrics_match_mask_formulas():
         g = random_temporal_graph(rng, n_max=15, m_max=60, t_max=8)
         subset = set(rng.sample(range(g.n), rng.randint(1, g.n)))
         td, tc, times = oracle.reference_metrics(g, subset)
-        assert temporal_density(g, subset) == td
-        assert temporal_conductance(g, subset) == tc
         report = community_report(g, temporal_pagerank(g, QueryContext.single(0)), subset)
         assert (report.td, report.tc, report.internal_times) == (td, tc, times)

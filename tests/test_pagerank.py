@@ -1,3 +1,4 @@
+import math
 import random
 from array import array
 
@@ -7,11 +8,12 @@ from hypothesis import given
 
 import tpcore
 import tpcore.pagerank as pagerank
-from tpcore import (NotConverged, QueryContext, TemporalGraph, exact_community, local_search,
+from tpcore import (NotConverged, QueryContext, QueryNotInSet, TemporalGraph,
+                    brute_force_search, exact_community, local_search,
                     power_iteration_pagerank, propagate, temporal_pagerank,
                     temporal_pagerank_multi)
 from tests import oracle
-from tests.conftest import ctx_for, graph_strategy, random_temporal_graph
+from tests.conftest import TRI, ctx_for, graph_strategy, random_temporal_graph
 from tests.oracle import reference_drain, stop_dict_pagerank
 from tests.test_graph import messy_triples
 
@@ -63,7 +65,7 @@ def test_asymmetry_witness(chain3):
 @given(graph_strategy())
 def test_mass_and_range(g):
     scores = temporal_pagerank(g, QueryContext.single(0))
-    assert scores.total() == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(scores.per_vertex) == pytest.approx(1.0, abs=1e-9)
     assert (scores.values >= 0).all()
     assert (scores.values <= 1 + 1e-12).all()
 
@@ -98,7 +100,7 @@ def test_midscale_sweep_matches_stream_dp():
         ctx = QueryContext(tuple(rng.sample(range(g.n), rng.randint(1, 3))))
         scores = temporal_pagerank(g, ctx)
         assert np.abs(scores.values - stop_dict_pagerank(g, ctx)).max() <= 1e-12
-        assert scores.total() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(scores.per_vertex) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_scores_at_the_timestamp_limit():
@@ -117,7 +119,7 @@ def test_scores_at_the_timestamp_limit():
             expected = score(g, ctx).values
             got = score(late, ctx)
             assert np.abs(got.values - expected).max() <= 1e-12
-            assert got.total() == pytest.approx(1.0, abs=mass_tol)
+            assert math.fsum(got.per_vertex) == pytest.approx(1.0, abs=mass_tol)
 
 
 def test_push_memo_holds_the_graph_denominators():
@@ -244,7 +246,6 @@ def test_values_array_equals_the_score_list(tri):
     assert isinstance(scores.values, np.ndarray)
     assert scores.values.dtype == np.float64
     assert scores.values.tolist() == scores.per_vertex
-    assert [scores[u] for u in range(tri.n)] == scores.per_vertex
 
 # ---- multiple query vertices ----------------------------------------------------
 
@@ -273,7 +274,7 @@ def test_multi_names_are_aliases():
 def test_multi_mass(g):
     queries = tuple(range(min(3, g.n)))
     scores = temporal_pagerank(g, QueryContext(queries))
-    assert scores.total() == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(scores.per_vertex) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---- errors and context validation -----------------------------------------------
@@ -291,3 +292,16 @@ def test_query_context_validation():
     with pytest.raises(ValueError):
         QueryContext(())
     assert QueryContext((3, 1, 3)).queries == (3, 1)
+
+
+
+@pytest.mark.parametrize("queries, bad", [((-1,), -1), ((4,), 4), ((0, -1), -1)],
+                         ids=["minus-one", "n", "set-with-minus-one"])
+@pytest.mark.parametrize("solve", [exact_community, local_search, brute_force_search,
+                                   temporal_pagerank])
+def test_query_ids_outside_the_graph_are_refused(solve, queries, bad):
+    """-1 would otherwise score the last vertex, and n index past the lists."""
+    g = TemporalGraph.from_triples(TRI + [("b", "c", 3)])
+    assert g.n == 4
+    with pytest.raises(QueryNotInSet, match=rf"query vertex id {bad} is outside 0\.\.3"):
+        solve(g, QueryContext(queries))
