@@ -116,8 +116,9 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
     return exact.keys() - removal_log[:round_degrees.index(best_beta)], best_beta, bound
 
 
-def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
-    """Exact search for a query set: score, flood from the queries, peel what the flood took.
+def exact_search(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
+                 ) -> tuple[frozenset[int], float, dict[str, object]]:
+    """The exact answer on given scores: flood from the queries, peel what the flood took.
 
     A widest-path flood from the first query takes a reached query first,
     else the reached vertex of largest full-graph proximity degree.  Whenever
@@ -128,15 +129,10 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     the optimum >= b and the optimum is connected and holds the first query,
     so the taken set holds it, and the greedy peel is exact on any universe
     that does.  A query set split across components shows up as the flood
-    running out.  The answer, the last peel's component of the first query,
-    is walked once.  ``stats`` records b, the size of the prefix whose peel
-    gave it and the size of the final universe.
+    running out.  Returns the last peel's component of the first query,
+    walked once, its minimum degree, and stats: b, the size of the prefix
+    whose peel gave it and the size of the final universe.
     """
-    queries = ctx.queries
-    t0 = time.perf_counter()
-    scores = temporal_pagerank(graph, ctx)
-    t1 = time.perf_counter()
-    values = scores.per_vertex
     adj = graph.adj
     qset = set(queries)
     missing = len(qset) - 1
@@ -163,11 +159,19 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
         raise QueriesDisconnected("query vertices lie in different components")
     if len(taken) > bound_set:
         survivors, beta, _ = _peel(graph, values, queries, taken)
-    members = frozenset(graph.connected_component(survivors, queries[0]))
+    return (frozenset(graph.connected_component(survivors, queries[0])), beta,
+            {"bound": bound, "bound_set": bound_set, "region": len(taken)})
+
+
+def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
+    """Exact search for a query set: ``temporal_pagerank``, then ``exact_search`` on its scores."""
+    t0 = time.perf_counter()
+    scores = temporal_pagerank(graph, ctx)
+    t1 = time.perf_counter()
+    members, beta, stats = exact_search(graph, scores.per_vertex, ctx.queries)
     t2 = time.perf_counter()
     return CommunityResult(members, beta, "egr",
-                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores,
-                           {"bound": bound, "bound_set": bound_set, "region": len(taken)})
+                           {"score_s": t1 - t0, "search_s": t2 - t1}, scores, stats)
 
 
 # the same function under the name perfbench/run.py calls

@@ -7,13 +7,13 @@ mass first: when each pops, and again, within a work credit earned by the
 expansion's reads, when later pushes leave mass on them.  The mass settled
 per vertex lower-bounds its proximity score, and adding the total pending
 residue gives upper bounds, which prune the expansion while guaranteeing the
-expanded set still covers the exact community.  Stage two
-peels the expanded set once, greedily and on the lower bounds, with the
-exact solver's peel; its best minimum degree is the certified lower bound,
-and its largest round degree plus the pending residue bounds the optimum
-from above.  The paper's stage two peels at
-geometrically shrinking levels instead; those levels are nested thresholds
-of this one min-degree cascade.
+expanded set still covers the exact community.  Stage two peels the
+expanded set once, greedily and on the lower bounds, with the exact solver's
+peel; its best minimum degree is the certified lower bound, and its largest
+round degree plus the pending residue bounds the optimum from above.  Where
+the bounds certify nothing, the exact solver's search answers on the drained
+scores.  The paper's stage two peels at geometrically shrinking levels
+instead; those levels are nested thresholds of this one min-degree cascade.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import math
 import time
 from typing import Callable, Sequence
 
-from .community import CommunityResult, _peel, proximity_degree
+from .community import CommunityResult, _peel, exact_search, proximity_degree
 from .errors import QueriesDisconnected, QueryNotInSet
 from .graph import Components, TemporalGraph
 from .pagerank import PushState, QueryContext, drain, propagate, seed_state
@@ -183,9 +183,9 @@ class ApproxResult(CommunityResult):
     beta, also read as ``beta_lower``, lower-bounds every member's proximity
     degree inside the community; the exact optimum is at most epsilon times it.
     Unless it fell back, epsilon is (stats["peel_bound"] + stats["residue"]) / beta, at least 1.
-    fallback marks answers whose lower bounds certified nothing (their peel's
-    best degree was 0), so the push was drained and the expanded set peeled on
-    the exact scores: such an answer is exact, with epsilon 1.  scores is None.
+    fallback marks answers whose lower bounds certified nothing (their peel split
+    the queries or its best degree was 0), so the push was drained and the exact
+    search ran on the exact scores: such an answer is exact, with epsilon 1.  scores is None.
     """
 
     def __init__(self, members: frozenset[int], epsilon: float, beta: float, fallback: bool,
@@ -210,11 +210,9 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     One greedy peel (``community._peel``, exact integer degrees) of the
     expanded vertices holding settled mass, and of the queries, on the lower
     bounds finds the best minimum degree beta_p of a set that joins the
-    queries; if those vertices do not join the queries (the peel returns
-    None), the whole expanded set is peeled, and if that does not join them
-    either, QueriesDisconnected is raised.  A massless vertex adds 0 to every
-    degree, so each expanded one whose degree into the kept set reaches beta_p
-    is re-admitted; it can join kept parts.
+    queries.  A massless vertex adds 0 to every degree, so each expanded one
+    whose degree into the kept set reaches beta_p is re-admitted; it can join
+    kept parts.
     The same peel's largest round degree, connectivity ignored and rounded
     up, plus the pending residue P, upper-bounds the exact optimum: the
     optimum lies in the expanded set, each member's true degree in it is at
@@ -223,12 +221,13 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     degree (Sozio & Gionis 2010).  For one query that round degree is beta_p.
     The answer is the queries' component, with beta_lower = beta_p and
     epsilon = upper / beta_p (at least 1), rounded up so that
-    epsilon * beta_lower >= upper holds in floats.  If beta_p is 0 the push is
-    drained and the expanded set, which covers the exact community, is peeled
-    on the exact scores: that answer is exact, epsilon 1, fallback True.
-    ``stats`` splices the state's own between the epsilon trace and the peel's
-    universe size, then ends with that peel's bound, ``peel_bound``: a state
-    that never went through ``expand`` adds no counter.
+    epsilon * beta_lower >= upper holds in floats.  If the vertices holding
+    mass split the queries (the peel returns None) or beta_p is 0, the push is
+    drained and ``community.exact_search`` answers on the exact scores: epsilon
+    1, fallback True, and QueriesDisconnected if its flood runs out.
+    ``stats`` splices the state's own (none unless ``expand`` made the state)
+    between the epsilon trace and the universe size, then ends with the bound,
+    ``peel_bound``; a fallback reports the search's region and beta as those.
     """
     queries = ctx.queries
     # copied from a set, the frozenset's table is sized to fit: half the
@@ -237,30 +236,27 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     lower = state.lower
     for q in queries:
         if q not in explored:
-            raise QueryNotInSet(f"query vertex {graph.labels[q]!r} not in the expanded set")
+            raise QueryNotInSet(f"query vertex id {q} not in the expanded set")
     settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
-    peeled = (_peel(graph, lower, queries, universe := settled)
-              or _peel(graph, lower, queries, universe := expanded))
-    if peeled is None:
-        raise QueriesDisconnected("the expanded set does not join the query vertices")
-    kept, beta, bound = peeled
-    if beta > 0.0:
+    peeled = _peel(graph, lower, queries, settled)
+    if peeled is None or peeled[1] == 0.0:
+        drain(state, graph)
+        members, beta, search = exact_search(graph, lower, queries)
+        epsilon, fallback, universe, bound = 1.0, True, search["region"], beta
+    else:
+        kept, beta, bound = peeled
         # a re-admitted vertex has degree >= beta > 0 into kept, so it borders kept
         border = {w for u in kept for w in graph.adj[u]} - kept
         kept.update([u for u in border if lower[u] == 0.0 and u in explored
                      and proximity_degree(lower, graph, kept, u) >= beta])
         upper = bound + state.residue_total
-        epsilon, fallback = max(1.0, upper / beta), False
+        epsilon, fallback, universe = max(1.0, upper / beta), False, len(settled)
         while epsilon * beta < upper:
             epsilon = math.nextafter(epsilon, math.inf)
-    else:
-        drain(state, graph)
-        kept, beta, bound = _peel(graph, lower, queries, universe := expanded)
-        epsilon, fallback = 1.0, True
+        members = frozenset(graph.connected_component(kept, queries[0]))
     stats = {"explored": len(explored), "epsilon_trace": [epsilon], **state.stats,
-             "universe": len(universe), "peel_bound": bound}
-    return ApproxResult(frozenset(graph.connected_component(kept, queries[0])), epsilon,
-                        beta, fallback, explored, stats)
+             "universe": universe, "peel_bound": bound}
+    return ApproxResult(members, epsilon, beta, fallback, explored, stats)
 
 
 def local_search(graph: TemporalGraph, ctx: QueryContext) -> ApproxResult:

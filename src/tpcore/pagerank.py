@@ -197,14 +197,21 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     Builds the dense transition matrix (dangling states self-loop), iterates
     x <- alpha*chi + (1-alpha)*x P until the L1 change drops below tol, and
     sums per vertex over incoming states.  Memory is quadratic in m; use at
-    test scale only.
+    test scale only.  Raises QueryNotInSet for a query id outside 0..n-1.
     """
     import numpy as np
 
     n_states = 2 * graph.m
+    chi = np.zeros(n_states)
+    share = 1.0 / len(ctx.queries)
+    for q in ctx.queries:
+        if not 0 <= q < graph.n:
+            raise QueryNotInSet(f"query vertex id {q} is outside 0..{graph.n - 1}")
+        out = graph.inc_states[q]
+        chi[out] += share / len(out)
+
     P = np.zeros((n_states, n_states))
-    arrivals = list(zip(graph.state_tail, graph.state_time))
-    for s, (tail, t) in enumerate(arrivals):
+    for s, (tail, t) in enumerate(zip(graph.state_tail, graph.state_time)):
         times = graph.inc_times[tail]
         lo = bisect_right(times, t)
         if lo == len(times):
@@ -213,12 +220,6 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
         dnm = graph.denominator(tail, t)
         for tj, j in zip(times[lo:], graph.inc_states[tail][lo:]):
             P[s, j] += (1.0 / (tj - t)) / dnm
-
-    chi = np.zeros(n_states)
-    share = 1.0 / len(ctx.queries)
-    for q in ctx.queries:
-        out = graph.inc_states[q]
-        chi[out] += share / len(out)
 
     x = np.zeros(n_states)
     delta = np.inf
@@ -231,7 +232,4 @@ def power_iteration_pagerank(graph: TemporalGraph, ctx: QueryContext,
     else:
         raise NotConverged(max_iters, delta)
 
-    values = np.zeros(graph.n)
-    for s, (tail, _) in enumerate(arrivals):
-        values[tail] += x[s]
-    return ScoreVector(values.tolist())
+    return ScoreVector(np.bincount(graph.state_tail, weights=x, minlength=graph.n).tolist())

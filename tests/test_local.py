@@ -330,11 +330,15 @@ def test_reduce_chain3_fallback(chain3):
 
 
 def test_reduce_singleton(tri):
+    """An all-zero state certifies nothing, so the reduction falls back to the
+    exact search on the drained (still zero) scores, which takes the query's
+    whole component at beta 0: a fallback answer no longer depends on a
+    hand-built ``expanded``."""
     ctx = ctx_for(tri)
     state = PushState.fresh(tri, ctx.alpha)
     res = reduce_stage([tri.index["q"]], state, tri, ctx)
-    assert labels(tri, res.members) == ["q"]
-    assert res.epsilon == 1.0
+    assert labels(tri, res.members) == ["a", "b", "q"]
+    assert (res.epsilon, res.fallback) == (1.0, True)
     assert res.beta_lower == 0.0
 
 
@@ -381,6 +385,18 @@ def test_reduce_query_outside_set(tri):
         reduce_stage([tri.index["a"], tri.index["b"]], state, tri, ctx)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_reduce_names_a_query_id_outside_the_set(bad):
+    """On the path a-b-c-d expanded from d, the last vertex, the error names
+    the id itself: -1 is not d, and n is no vertex at all."""
+    from tpcore import QueryNotInSet
+    g = TemporalGraph.from_triples([("a", "b", 1), ("b", "c", 2), ("c", "d", 3)])
+    assert (g.n, g.labels[-1]) == (4, "d")
+    expanded, state = expand(g, QueryContext.single(g.n - 1))
+    with pytest.raises(QueryNotInSet, match=rf"^query vertex id {bad} not in the expanded set$"):
+        reduce_stage(expanded, state, g, QueryContext((bad,)))
+
+
 def check_reduce(g, ctx):
     """Expand and reduce; check the stage-two invariants and return (result, state).
 
@@ -403,6 +419,9 @@ def check_reduce(g, ctx):
     assert res.epsilon_trace == (res.epsilon,)
     if res.fallback:
         assert res.epsilon == 1.0
+        exact = exact_community(g, ctx)
+        assert members == exact.members
+        assert res.beta_lower == pytest.approx(exact.beta, rel=1e-12, abs=0.0)
     else:
         bound = res.stats["peel_bound"]
         upper = Fraction(bound) + sum(map(Fraction, state.residue))
@@ -431,19 +450,19 @@ def test_reduce_certifies_one_peel():
     assert fallbacks < len(cases) // 10
 
 
-def test_reduce_peels_the_whole_set_when_the_mass_does_not_join_the_queries():
+def test_reduce_falls_back_to_the_exact_search_when_the_mass_does_not_join_the_queries():
     """Path a-x-w-y-c, queries (a, c): no walk reaches w in time, so the
-    vertices holding mass split the queries, and the peel takes the whole
-    expanded set, w included.  Nothing is pending; the bounds are a 0.2, x 0.3,
-    w 0, y 0.3, c 0.2, and the peel's rounds are x at 0.2, which splits the
-    queries, then a at 0, so its bound is beta_lower and epsilon is 1."""
+    vertices holding mass split the queries, and the reduction falls back to
+    the exact search on the drained scores, which takes w back.  Nothing was
+    pending, so the scores are the bounds a 0.2, x 0.3, w 0, y 0.3, c 0.2, and
+    the whole path is the answer at x's degree 0.2, with epsilon 1."""
     g = TemporalGraph.from_triples([("a", "x", 2), ("x", "w", 1), ("w", "y", 1),
                                     ("y", "c", 2), ("a", "x", 3), ("c", "y", 3)])
     ctx = QueryContext((g.index["a"], g.index["c"]))
     res, state = check_reduce(g, ctx)
     assert state.lower[g.index["w"]] == 0.0
     assert labels(g, res.members) == ["a", "c", "w", "x", "y"]
-    assert not res.fallback
+    assert res.fallback
     assert res.beta_lower == pytest.approx(0.2, abs=1e-15)
     assert res.epsilon == pytest.approx(1.0, abs=1e-15)
 
@@ -582,8 +601,8 @@ def reduce_everything(g, ctx):
 @pytest.mark.parametrize("solve", [exact_community, local_search, expand, reduce_everything])
 def test_split_query_sets_raise(two_paths, solve, labs):
     """Each search finds the split itself: egr's flood and als's expansion run
-    out before they take every query, and reduce_stage's peels of the mass and
-    of the whole set both find no component holding every query."""
+    out before they take every query, and so does the flood of the exact search
+    that reduce_stage falls back to when its peel of the mass splits the queries."""
     with pytest.raises(QueriesDisconnected):
         solve(two_paths, QueryContext(tuple(two_paths.index[lab] for lab in labs)))
 

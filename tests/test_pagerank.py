@@ -298,7 +298,7 @@ def test_query_context_validation():
 @pytest.mark.parametrize("queries, bad", [((-1,), -1), ((4,), 4), ((0, -1), -1)],
                          ids=["minus-one", "n", "set-with-minus-one"])
 @pytest.mark.parametrize("solve", [exact_community, local_search, brute_force_search,
-                                   temporal_pagerank])
+                                   temporal_pagerank, power_iteration_pagerank])
 def test_query_ids_outside_the_graph_are_refused(solve, queries, bad):
     """-1 would otherwise score the last vertex, and n index past the lists."""
     g = TemporalGraph.from_triples(TRI + [("b", "c", 3)])
