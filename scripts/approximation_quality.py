@@ -6,7 +6,9 @@ certified ratio, the true ratio (exact optimum over the certified lower
 bound), community recall/precision, and the expanded fraction of the graph;
 then the geometric means of both ratios, and the median share of the pending
 residue in the upper bound the certificate uses (the reduce peel's bound plus
-the residue), over the answers that did not fall back.
+the residue), over the answers that did not fall back.  Next to the number
+of fallbacks it prints how many of them handed over (``stats["handover"]``):
+their expansion's adjacency reads outran its pushes.
 """
 import argparse
 import random
@@ -41,7 +43,7 @@ def main():
     rng = random.Random(args.seed)
     certified, true_ratio, recall, precision, fraction = [], [], [], [], []
     residue_share = []
-    fallbacks = 0
+    fallbacks = handovers = 0
     for _ in range(args.graphs):
         g = random_graph(rng, args.n_max, args.m_max, args.t_max)
         ctx = QueryContext.single(rng.randrange(g.n), args.alpha)
@@ -57,6 +59,7 @@ def main():
         precision.append(overlap / len(approx.members))
         fraction.append(len(approx.explored) / g.n)
         fallbacks += approx.fallback
+        handovers += approx.stats["handover"]
         upper = approx.stats["peel_bound"] + approx.stats["residue"]
         if not approx.fallback and upper > 0:
             residue_share.append(approx.stats["residue"] / upper)
@@ -72,7 +75,8 @@ def main():
     sketch("recall", recall)
     sketch("precision", precision)
     sketch("|C|/n", fraction)
-    print(f"drained exact (fallback): {fallbacks}/{args.graphs}")
+    print(f"drained exact (fallback): {fallbacks}/{args.graphs}, "
+          f"{handovers} of them handed over")
     print(f"geometric mean: certified {np.exp(np.log(certified).mean()):.3f}  "
           f"true ratio {np.exp(np.log(true_ratio).mean()):.3f}")
     if residue_share:

@@ -117,7 +117,7 @@ def _peel(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
 
 
 def exact_search(graph: TemporalGraph, values: Sequence[float], queries: Sequence[int],
-                 ) -> tuple[frozenset[int], float, dict[str, object]]:
+                 ) -> tuple[frozenset[int], float, dict[str, object], list[int]]:
     """The exact answer on given scores: flood from the queries, peel what the flood took.
 
     A widest-path flood from the first query takes a reached query first,
@@ -130,8 +130,9 @@ def exact_search(graph: TemporalGraph, values: Sequence[float], queries: Sequenc
     so the taken set holds it, and the greedy peel is exact on any universe
     that does.  A query set split across components shows up as the flood
     running out.  Returns the last peel's component of the first query,
-    walked once, its minimum degree, and stats: b, the size of the prefix
-    whose peel gave it and the size of the final universe.
+    walked once, its minimum degree, stats (b, the size of the prefix whose
+    peel gave it and the size of the final universe) and the taken set, that
+    universe, in flood order.
     """
     adj = graph.adj
     qset = set(queries)
@@ -160,7 +161,7 @@ def exact_search(graph: TemporalGraph, values: Sequence[float], queries: Sequenc
     if len(taken) > bound_set:
         survivors, beta, _ = _peel(graph, values, queries, taken)
     return (frozenset(graph.connected_component(survivors, queries[0])), beta,
-            {"bound": bound, "bound_set": bound_set, "region": len(taken)})
+            {"bound": bound, "bound_set": bound_set, "region": len(taken)}, taken)
 
 
 def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
@@ -168,7 +169,7 @@ def exact_community(graph: TemporalGraph, ctx: QueryContext) -> CommunityResult:
     t0 = time.perf_counter()
     scores = temporal_pagerank(graph, ctx)
     t1 = time.perf_counter()
-    members, beta, stats = exact_search(graph, scores.per_vertex, ctx.queries)
+    members, beta, stats, _ = exact_search(graph, scores.per_vertex, ctx.queries)
     t2 = time.perf_counter()
     return CommunityResult(members, beta, "egr",
                            {"score_s": t1 - t0, "search_s": t2 - t1}, scores, stats)

@@ -12,8 +12,13 @@ expanded set once, greedily and on the lower bounds, with the exact solver's
 peel; its best minimum degree is the certified lower bound, and its largest
 round degree plus the pending residue bounds the optimum from above.  Where
 the bounds certify nothing, the exact solver's search answers on the drained
-scores.  The paper's stage two peels at geometrically shrinking levels
-instead; those levels are nested thresholds of this one min-degree cascade.
+scores.  It answers too where stage one hands over: once the expansion's
+adjacency reads outrun its pushes, it is walking through vertices that hold
+almost no mass, which the drain skips, so draining the push and searching
+exactly costs less than expanding on (FORA's balance of push work against
+its alternative; Wang, Tang, Xiao, Yang & Li, KDD 2017).  The paper's stage
+two peels at geometrically shrinking levels instead; those levels are nested
+thresholds of this one min-degree cascade.
 """
 from __future__ import annotations
 
@@ -32,6 +37,15 @@ from .pagerank import PushState, QueryContext, drain, propagate, seed_state
 # equal in real arithmetic can disagree by a few ulps; pruning decisions err
 # on the keeping side by this margin so exact-community members never fall out
 BOUND_SLACK = 1e-12
+
+# the hand-over rule of ``expand``: its adjacency reads reach READS_PER_PUSH
+# per push, plus the drain's scan of all 2m states (made however little it
+# pushes) at one read per SCAN_STATES_PER_READ states, plus HANDOVER_FLOOR,
+# below which both paths take well under a millisecond.  Counters, never a
+# clock, so every run on every host hands over on the same queries.
+READS_PER_PUSH = 3
+SCAN_STATES_PER_READ = 16
+HANDOVER_FLOOR = 1024
 
 
 def expand(graph: TemporalGraph, ctx: QueryContext,
@@ -60,8 +74,13 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     ``graph.Components`` of the popped vertices tells, the estimate stays 0,
     so nothing is pruned and the expansion reaches every vertex of their
     components; if it ends with them still apart, the queries lie in
-    different components and QueriesDisconnected is raised.  The state's ``stats``
-    get the pushes, the re-pushes among them, the pending residue and the estimate.
+    different components and QueriesDisconnected is raised.  Once the
+    expanded set joins the queries, a frontier is left and the reads meet
+    the hand-over rule (``READS_PER_PUSH``), it stops and hands over: the
+    answer is left to the exact search (``reduce_stage``), and the returned
+    set, which covers the exact community otherwise, need not.  The state's
+    ``stats`` get the pushes, the re-pushes among them, the pending residue,
+    the estimate, the adjacency entries read and whether it handed over.
     ``inspect`` (tests) is called after every pop and its re-push with the
     push state, expanded list, visited set, and estimate.
     """
@@ -83,6 +102,11 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     fed_heap: list[tuple[int, int]] = []
     fed: set[int] = set()
     pushes = 0
+    # adjacency entries read (the popped rows and the admission sums); each
+    # earns one unit of re-push credit, and ``spent`` counts the units used
+    reads = spent = 0
+    handover_reads = 2 * graph.m // SCAN_STATES_PER_READ + HANDOVER_FLOOR
+    handover = False
 
     def on_lower(vertex: int, delta: float) -> None:
         nonlocal frontier_sum, pushes
@@ -107,7 +131,6 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
     joined = len(queries) == 1
     parts = Components(adj)
     beta_hat = 0.0
-    credit = 0
     repushes = 0
     query_set = set(queries)
     # most settled mass first, the queries before all: one entry per queued
@@ -120,7 +143,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
         frontier_sum -= lower[u]
         expanded.append(u)
         row = adj[u]
-        credit += len(row)
+        reads += len(row)
         val = 0.0
         for v in row:
             if v in rho_hat:
@@ -133,11 +156,11 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             joined = parts.joins(queries)
         propagate(state, inc_states[u], graph, on_lower, force=u in query_set)
         # re-push stranded mass, paid for by the reads made so far
-        while fed_heap and credit > 0:
+        while fed_heap and reads > spent:
             v = heapq.heappop(fed_heap)[1]
             fed.remove(v)
             out = inc_states[v]
-            credit -= len(out)
+            spent += len(out)
             before = pushes
             propagate(state, out, graph, on_lower)
             repushes += pushes - before
@@ -154,7 +177,7 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
             reach = state.residue_total
             for w in adj[v]:
                 reach += lower[w]
-            credit += len(adj[v])
+            reads += len(adj[v])
             if reach >= beta_hat - BOUND_SLACK:
                 heapq.heappush(frontier, (-lower[v], v))
                 queued.add(v)
@@ -170,10 +193,13 @@ def expand(graph: TemporalGraph, ctx: QueryContext,
                 break
         if inspect is not None:
             inspect(state, expanded, visited, beta_hat)
+        if frontier and joined and reads >= READS_PER_PUSH * pushes + handover_reads:
+            handover = True
+            break
     if not joined:
         raise QueriesDisconnected("query vertices lie in different components")
     state.stats.update(pushes=pushes, repushes=repushes, residue=state.residue_total,
-                       estimate=beta_hat)
+                       estimate=beta_hat, reads=reads, handover=handover)
     return expanded, state
 
 
@@ -183,9 +209,12 @@ class ApproxResult(CommunityResult):
     beta, also read as ``beta_lower``, lower-bounds every member's proximity
     degree inside the community; the exact optimum is at most epsilon times it.
     Unless it fell back, epsilon is (stats["peel_bound"] + stats["residue"]) / beta, at least 1.
-    fallback marks answers whose lower bounds certified nothing (their peel split
-    the queries or its best degree was 0), so the push was drained and the exact
-    search ran on the exact scores: such an answer is exact, with epsilon 1.  scores is None.
+    fallback marks answers whose expansion handed over (stats["handover"]) or
+    whose lower bounds certified nothing (their peel split the queries or its
+    best degree was 0), so the push was drained and the exact search ran on
+    the exact scores: such an answer is exact, with epsilon 1.  explored holds
+    the expanded vertices, and after a hand-over also the exact search's
+    region, so it covers the exact community either way.  scores is None.
     """
 
     def __init__(self, members: frozenset[int], epsilon: float, beta: float, fallback: bool,
@@ -224,36 +253,45 @@ def reduce_stage(expanded: Sequence[int], state: PushState, graph: TemporalGraph
     epsilon * beta_lower >= upper holds in floats.  If the vertices holding
     mass split the queries (the peel returns None) or beta_p is 0, the push is
     drained and ``community.exact_search`` answers on the exact scores: epsilon
-    1, fallback True, and QueriesDisconnected if its flood runs out.
+    1, fallback True, and QueriesDisconnected if its flood runs out.  A state
+    whose expansion handed over (``stats["handover"]``) skips the peel and
+    takes that path straight away; its expanded set need not cover the
+    optimum, so the explored set adds the flood's region, which does.
     ``stats`` splices the state's own (none unless ``expand`` made the state)
     between the epsilon trace and the universe size, then ends with the bound,
     ``peel_bound``; a fallback reports the search's region and beta as those.
     """
     queries = ctx.queries
-    # copied from a set, the frozenset's table is sized to fit: half the
-    # memory of one grown from the list, and every result keeps it
-    explored = frozenset(set(expanded))
+    reached = set(expanded)
     lower = state.lower
     for q in queries:
-        if q not in explored:
+        if q not in reached:
             raise QueryNotInSet(f"query vertex id {q} not in the expanded set")
-    settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
-    peeled = _peel(graph, lower, queries, settled)
+    handover = state.stats.get("handover", False)
+    peeled = None
+    if not handover:
+        settled = [u for u in expanded if lower[u] > 0.0 or u in queries]
+        peeled = _peel(graph, lower, queries, settled)
     if peeled is None or peeled[1] == 0.0:
         drain(state, graph)
-        members, beta, search = exact_search(graph, lower, queries)
+        members, beta, search, taken = exact_search(graph, lower, queries)
+        if handover:  # the expansion stopped short, so the flood's region covers the optimum
+            reached.update(taken)
         epsilon, fallback, universe, bound = 1.0, True, search["region"], beta
     else:
         kept, beta, bound = peeled
         # a re-admitted vertex has degree >= beta > 0 into kept, so it borders kept
         border = {w for u in kept for w in graph.adj[u]} - kept
-        kept.update([u for u in border if lower[u] == 0.0 and u in explored
+        kept.update([u for u in border if lower[u] == 0.0 and u in reached
                      and proximity_degree(lower, graph, kept, u) >= beta])
         upper = bound + state.residue_total
         epsilon, fallback, universe = max(1.0, upper / beta), False, len(settled)
         while epsilon * beta < upper:
             epsilon = math.nextafter(epsilon, math.inf)
         members = frozenset(graph.connected_component(kept, queries[0]))
+    # copied from a set, the frozenset's table is sized to fit: half the
+    # memory of one grown from the list, and every result keeps it
+    explored = frozenset(reached)
     stats = {"explored": len(explored), "epsilon_trace": [epsilon], **state.stats,
              "universe": universe, "peel_bound": bound}
     return ApproxResult(members, epsilon, beta, fallback, explored, stats)

@@ -73,6 +73,13 @@ RESPONSE_SCHEMA = {
                            "estimate": {"type": "number", "minimum": 0,
                                         "description": "the expansion's final "
                                                        "minimum-degree estimate"},
+                           "reads": {"type": "integer", "minimum": 0,
+                                     "description": "adjacency entries the "
+                                                    "expansion read"},
+                           "handover": {"type": "boolean",
+                                        "description": "the expansion's reads "
+                                                       "outran its pushes, so the "
+                                                       "exact search answered"},
                            "universe": {"type": "integer", "minimum": 1,
                                         "description": "size of the universe of the "
                                                        "reduce peel giving the answer"},
@@ -87,8 +94,8 @@ RESPONSE_SCHEMA = {
     "if": {"properties": {"algorithm": {"const": "als"}}},
     "then": {"properties": {"stats": {"required": ["explored", "epsilon_trace",
                                                    "pushes", "repushes", "residue",
-                                                   "estimate", "universe",
-                                                   "peel_bound"]}}},
+                                                   "estimate", "reads", "handover",
+                                                   "universe", "peel_bound"]}}},
 }
 
 
@@ -179,7 +186,7 @@ def test_query_times_metrics_for_every_algorithm(capsys, tri_file, alg):
 @pytest.mark.parametrize("alg, keys", [
     ("egr", ["bound", "bound_set", "region"]),
     ("als", ["explored", "epsilon_trace", "pushes", "repushes", "residue", "estimate",
-             "universe", "peel_bound"]),
+             "reads", "handover", "universe", "peel_bound"]),
     ("brute", []),
 ])
 def test_query_json_stats_follow_the_existing_keys(capsys, tri_file, alg, keys):

@@ -11,7 +11,7 @@ from tpcore import (PushState, QueriesDisconnected, QueryContext, SynthConfig,
                     TemporalGraph, drain, exact_community, expand,
                     local_search, local_search_multi, min_proximity_degree,
                     power_iteration_pagerank, propagate, proximity_degree,
-                    reduce_stage, synth_graph, temporal_pagerank)
+                    reduce_stage, synth_graph, synth_triples, temporal_pagerank)
 from tpcore.community import _peel
 from tpcore.pagerank import seed_state
 from tpcore.cli import stratified_queries
@@ -249,6 +249,110 @@ def test_re_push_work_stays_near_the_reference(monkeypatch):
         repushes += stats["repushes"]
     assert pushes == counted[0]
     assert 0 < repushes < pushes <= 1.25 * reference[0], (pushes, reference[0])
+
+
+# ---- hand-over to the exact search ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def query_sets_graph():
+    """A graph of perfbench's ``query-sets`` shape: 2,000 vertices, two timestamps per edge."""
+    return synth_graph(SynthConfig(n=2000, avg_deg=6.0, timestamps_per_edge=2,
+                                   horizon=40, seed=1))
+
+
+def stratified_pairs(g, count):
+    """Each stratified query with its smallest-id neighbour."""
+    return [QueryContext((q, min(g.adj[q]))) for q in stratified_queries(g, count)]
+
+
+def test_a_reads_bound_expansion_hands_over_to_the_exact_search(query_sets_graph):
+    """On the ``query-sets`` shape the expansion reaches the whole graph while
+    moving little mass, so its reads outrun its pushes and most pairs hand
+    over.  A handed-over answer is the exact search's on the drained push:
+    ``exact_community``'s members and beta, epsilon 1, and an explored set,
+    the expansion plus the flood's region, that covers the members."""
+    g = query_sets_graph
+    handovers = 0
+    for ctx in stratified_pairs(g, 24):
+        approx = local_search(g, ctx)
+        stats = approx.stats
+        exact = exact_community(g, ctx)
+        assert exact.members <= approx.explored
+        assert stats["explored"] == len(approx.explored)
+        if stats["handover"]:
+            handovers += 1
+            assert stats["reads"] >= (tpcore.local.READS_PER_PUSH * stats["pushes"]
+                                      + 2 * g.m // tpcore.local.SCAN_STATES_PER_READ
+                                      + tpcore.local.HANDOVER_FLOOR)
+            assert (approx.fallback, approx.epsilon, approx.epsilon_trace) == (True, 1.0, (1.0,))
+            assert approx.members == exact.members
+            assert approx.beta_lower == pytest.approx(exact.beta, rel=1e-12, abs=0.0)
+            assert (stats["universe"], stats["peel_bound"]) == (exact.stats["region"],
+                                                                approx.beta)
+    assert handovers >= 18, handovers
+
+
+def test_expand_then_reduce_equals_local_search_on_a_hand_over(query_sets_graph):
+    """The flag travels in the push state, so the two stages called apart
+    answer as ``local_search`` does, on a pair whose explored set is the
+    expansion plus flood vertices it never popped."""
+    g = query_sets_graph
+    for ctx in stratified_pairs(g, 24):
+        expanded, state = expand(g, ctx)
+        apart = reduce_stage(expanded, state, g, ctx)
+        if state.stats["handover"] and set(expanded) < apart.explored:
+            break
+    else:
+        pytest.fail("no hand-over whose flood left the expanded set")
+    whole = local_search(g, ctx)
+    assert (apart.members, apart.beta_lower, apart.epsilon, apart.fallback, apart.explored,
+            apart.stats) == (whole.members, whole.beta_lower, whole.epsilon, whole.fallback,
+                             whole.explored, whole.stats)
+
+
+def test_a_hand_over_waits_for_the_queries_to_join():
+    """A hub query's own pop reads its 300 neighbours' rows, far more than
+    three per push, but the second query lies apart from it: the expansion
+    may not stop before the expanded set joins both (stopping there would
+    read the queries as disconnected), and then it hands over."""
+    rng = random.Random(5)
+    triples = synth_triples(SynthConfig(n=400, avg_deg=10.0, timestamps_per_edge=2,
+                                        horizon=40, seed=3))
+    triples += [("h", f"v{i}", rng.randint(1, 40)) for i in rng.sample(range(400), 300)]
+    g = TemporalGraph.from_triples(triples)
+    hub = g.index["h"]
+    ctx = QueryContext((hub, next(v for v in range(g.n) if v != hub and v not in g.adj[hub])))
+    approx = local_search(g, ctx)
+    exact = exact_community(g, ctx)
+    assert approx.stats["handover"] and approx.stats["explored"] >= 3
+    assert approx.members == exact.members <= approx.explored
+
+
+def test_a_push_bound_expansion_does_not_hand_over():
+    """On the ``high-occ`` shape every pop moves mass, so the pushes keep
+    ahead of the reads and no query hands over."""
+    g = synth_graph(SynthConfig(n=400, avg_deg=10.0, timestamps_per_edge=8,
+                                horizon=1000, seed=1))
+    stats = [expand(g, QueryContext.single(q))[1].stats for q in stratified_queries(g, 12)]
+    assert [s["handover"] for s in stats] == [False] * 12
+    assert all(s["reads"] < tpcore.local.READS_PER_PUSH * s["pushes"] for s in stats)
+
+
+def test_the_floor_keeps_small_expansions_on_the_certified_path():
+    """Expansions that read fewer than ``HANDOVER_FLOOR`` adjacency entries
+    never hand over, though on most of these small graphs the reads end at
+    more than three per push plus the scan share, which would hand over
+    without the floor."""
+    rng = random.Random(2929)
+    outran = 0
+    for i in range(60):
+        g = random_temporal_graph(rng, n_max=60, m_max=200, t_max=(1, 3, 25)[i % 3])
+        stats = expand(g, QueryContext.single(rng.randrange(g.n)))[1].stats
+        assert stats["reads"] < tpcore.local.HANDOVER_FLOOR
+        assert stats["handover"] is False
+        outran += stats["reads"] >= (tpcore.local.READS_PER_PUSH * stats["pushes"]
+                                     + 2 * g.m // tpcore.local.SCAN_STATES_PER_READ)
+    assert outran >= 30, outran
 
 
 # ---- degree bounds -----------------------------------------------------------------
